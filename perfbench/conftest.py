@@ -1,0 +1,9 @@
+"""Tests of the benchmark itself: ``python3 -m pytest perfbench -q``."""
+
+import os
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+for p in (HERE, os.path.dirname(HERE)):
+    if p not in sys.path:
+        sys.path.insert(0, p)
