@@ -2,6 +2,9 @@
 
 Each helper is a ``map_batches``-ready function (or returns a boolean
 mask) built on ``pyarrow.compute`` kernels — zero Python per row.
+``contains_any`` / ``needle_mask`` evaluate the needle bounds that
+``stages.selector_query`` derives from a selector, so its pushdown
+parses only the rows that can match.
 """
 
 from __future__ import annotations
@@ -19,18 +22,31 @@ def payload_contains(batch: pa.Table, *, column: str, needle: str
     return batch.filter(pc.match_substring(batch.column(column), needle))
 
 
+def contains_any(col, needles) -> pa.ChunkedArray | pa.Array:
+    """Boolean mask: the string contains ANY needle (the variadic-OR
+    contract of the reference's matcher overloads); all false for no
+    needles, null for a null string."""
+    if not needles:
+        return pa.repeat(False, len(col))
+    return functools.reduce(pc.or_, (pc.match_substring(col, n)
+                                     for n in needles))
+
+
+def needle_mask(col, bound) -> pa.ChunkedArray | pa.Array:
+    """Evaluate a needle bound over a string column.  A bound is
+    ``("any", needles)`` (contains one of them), ``("and", bounds)`` or
+    ``("or", bounds)``."""
+    op, arg = bound
+    if op == "any":
+        return contains_any(col, arg)
+    return functools.reduce(pc.and_ if op == "and" else pc.or_,
+                            (needle_mask(col, b) for b in arg))
+
+
 def payload_matches_any(batch: pa.Table, *, column: str,
                         needles: tuple) -> pa.Table:
-    """Keep rows whose string column contains ANY needle (the
-    variadic-OR contract of the reference's matcher overloads)."""
-    col = batch.column(column)
-    mask = None
-    for n in needles:
-        m = pc.match_substring(col, n)
-        mask = m if mask is None else pc.or_(mask, m)
-    if mask is None:
-        return batch.slice(0, 0)
-    return batch.filter(mask)
+    """Keep rows whose string column contains ANY needle."""
+    return batch.filter(contains_any(batch.column(column), needles))
 
 
 def drop_empty_payloads(batch: pa.Table, *, column: str) -> pa.Table:

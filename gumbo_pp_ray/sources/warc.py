@@ -323,6 +323,8 @@ def _records_table(rows: list[dict]):
         "html": pa.array([r["html"] for r in rows], pa.string()),
         "n_bytes": pa.array([r["n_bytes"] for r in rows], pa.int64()),
         "error": pa.array([r["error"] for r in rows], pa.string()),
+        "record_ordinal": pa.array([r["record_ordinal"] for r in rows],
+                                   pa.int64()),
     })
 
 
@@ -345,7 +347,11 @@ def read_warc(paths, *, html_only: bool = True,
               flush_records: int = 4096,
               flush_bytes: int = 64 << 20) -> "ray.data.Dataset":
     """WARC archive(s) → Dataset(warc_file, record_id, url, warc_date,
-    status, mime, html, n_bytes, error).
+    status, mime, html, n_bytes, error, record_ordinal).
+
+    ``record_ordinal`` numbers the rows ``iter_warc_stream`` yields for
+    one archive (0, 1, ... before the ``html_only`` filter): with
+    ``warc_file`` it identifies a record across flushes.
 
     One task per archive (the Common Crawl convention — WARC is only
     splittable at gzip member boundaries; parallelism = number of
@@ -373,7 +379,9 @@ def read_warc(paths, *, html_only: bool = True,
             rows: list[dict] = []
             nb = 0
             with open(path, "rb") as f:
-                for row in iter_warc_stream(f, source=path):
+                for ordinal, row in enumerate(
+                        iter_warc_stream(f, source=path)):
+                    row["record_ordinal"] = ordinal
                     if html_only and row["error"] is None and not (
                             row["status"] == 200
                             and row["mime"] == "text/html"):
@@ -414,18 +422,24 @@ def warc_to_interleaved(batch) -> "pa.Table":
     urls = batch.column("url").to_pylist()
     htmls = batch.column("html").to_pylist()
     errs = batch.column("error").to_pylist()
+
+    def fallback_id(i, kind):
+        # the per-archive ordinal, not the batch index: read_warc emits
+        # one archive in several flushes
+        ordinal = batch.column("record_ordinal")[i].as_py()
+        return f"{files[i]}#{kind}-{ordinal}"
+
     ids, spans, ierr = [], [], []
     for i, (url, html) in enumerate(zip(urls, htmls)):
         if html is None:
-            ids.append(url or rids[i]
-                       or f"{files[i]}#corrupt-{i}")
+            ids.append(url or rids[i] or fallback_id(i, "corrupt"))
             spans.append([])
             ierr.append(errs[i] or "no-payload")
             continue
         # same fallback chain as the error path: a lenient header
         # parse can yield a response with no WARC-Target-URI, and a
         # null doc_id poisons every downstream groupby / manifest
-        ids.append(url or rids[i] or f"{files[i]}#record-{i}")
+        ids.append(url or rids[i] or fallback_id(i, "record"))
         spans.append([{"kind": "text", "text": html,
                        "media_ref": "", "offset": 0}])
         ierr.append(None)

@@ -1177,21 +1177,21 @@ def simhash_neardup_pairs(ds, *, max_hamming: int = 3, bands: int = 4,
     from ..state.sizing import default_pool_size
     if concurrency is None:
         concurrency = default_pool_size()
-    if pair_dedup == "local":
+    # one ds.count() (metadata-fast for parquet reads) serves both the
+    # local-path ceiling and the bucket sizing below
+    n_docs = ds.count()
+    if pair_dedup == "local" and n_docs > LOCAL_PATH_MAX_DOCS:
         # same fail-fast ceiling as minhash_lsh_pairs: the one-block
         # coalesce is a small-N shortcut, not a scale plan
-        if ds.count() > LOCAL_PATH_MAX_DOCS:
-            raise ValueError(
-                f"pair_dedup='local' is a small-N shortcut; corpus has "
-                f"{n_docs} docs > ceiling {LOCAL_PATH_MAX_DOCS}. Use "
-                f"pair_dedup='shuffle'.")
+        raise ValueError(
+            f"pair_dedup='local' is a small-N shortcut; corpus has "
+            f"{n_docs} docs > ceiling {LOCAL_PATH_MAX_DOCS}. Use "
+            f"pair_dedup='shuffle'.")
     del concurrency        # accepted for API compat; simhash_batch is
     #                        a stateless task stage, no pool to size
-    # coarse-bucket count from the corpus size (one ds.count(),
-    # metadata-fast for parquet reads) so per-reducer input tracks
-    # ~100k band rows at ANY corpus size — a fixed bucket count would
-    # make the per-task working set O(N*bands/buckets), unbounded
-    n_docs = ds.count()
+    # coarse-bucket count from the corpus size so per-reducer input
+    # tracks ~100k band rows at ANY corpus size — a fixed bucket count
+    # would make the per-task working set O(N*bands/buckets), unbounded
     num_buckets = _band_bucket_count(n_docs * bands, None)
     sh = ds.map_batches(simhash_batch, batch_format="pyarrow")
     bandrows = sh.map_batches(

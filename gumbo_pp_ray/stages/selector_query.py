@@ -24,15 +24,114 @@ selective, SQL-reproducible predicate.)
 
 The stage is a callable class: the selector is compiled/deserialized
 ONCE per actor, not per batch.
+
+Selector pushdown: both stages parse only the rows that can match.
+Once per actor, ``selector_bound`` derives from the selector AST a
+necessary condition on the content text of any matching node: sets
+of needles (that text contains one of the set), combined by AND / OR:
+
+* ``content_text.contains`` / ``starts_with`` / ``ends_with`` / ``is_``
+  give their arguments (no bound if one of them is ``""``);
+* ``All`` gives the AND of its parts' bounds (unbounded parts skipped);
+  ``AnyOf`` / ``OneOf`` the OR (no bound if any part has none);
+* ``Not``, ``Where``, ``TextWhere``, ``is_empty``, the inner/outer text
+  modes and the tag/attribute leaves give no bound.
+
+Per batch, ``pushdown_mask`` tests that bound with ``pyarrow.compute``
+and the batch is filtered before the row loop.  A row is kept if
+
+* any template column (``doc_id``, ``text``, ``lang``, ``source``) is
+  null or holds one of ``<`` ``&`` ``"`` CR NUL — markup can split a
+  needle (``win<b>dow``), an entity or a dropped NUL can build one, a
+  quote can break out of an attribute — or is of a type other than
+  string or integer; or
+* ``"t" + text + lang`` satisfies the bound.
+
+The rule never drops a true match: for every other row the tree is
+exactly the template, whose text nodes are ``t`` (title), ``text``
+(``<p>``) and ``lang`` (``<span>``) in document order, so the content
+text of any node is a substring of ``"t" + text + lang``; a needle in
+a node's content text is in that string.  A selector with no bound
+keeps every row.
 """
 
 from __future__ import annotations
 
 import pyarrow as pa
+import pyarrow.compute as pc
 
+from ..functions.prefilters import needle_mask
 from ..html.parser import parse
+from ..html.select import (
+    All, AnyOf, OneOf, TextContains, TextEndsWith, TextIs, TextStartsWith,
+)
 from ..html.text import content_text
 from ..html.walk import find_all, walk
+
+_NEEDLE_LEAVES = (TextContains, TextStartsWith, TextEndsWith, TextIs)
+# characters that let a column change the template's tree or text
+_MARKUP_RE = r'[<&"\r\x00]'
+_TEMPLATE_COLUMNS = ("doc_id", "text", "lang", "source")
+
+
+def _join(op, bounds):
+    return bounds[0] if len(bounds) == 1 else (op, tuple(bounds))
+
+
+def selector_bound(sel):
+    """Needle bound of ``sel`` (see module docstring): a bound for
+    ``functions.prefilters.needle_mask`` that the content text of every
+    node ``sel`` matches satisfies, or None (no bound)."""
+    if isinstance(sel, _NEEDLE_LEAVES):
+        if sel.mode != sel.CONTENT or not all(
+                isinstance(a, str) and a for a in sel.args):
+            return None
+        return ("any", sel.args)
+    if isinstance(sel, All):
+        bounds = [b for b in map(selector_bound, sel.parts)
+                  if b is not None]
+        return _join("and", bounds) if bounds else None
+    if isinstance(sel, (AnyOf, OneOf)):
+        return _any_bound(sel.parts)
+    return None
+
+
+def _any_bound(selectors):
+    """OR of the selectors' bounds; None if there are none or one of
+    them has none."""
+    bounds = [selector_bound(s) for s in selectors]
+    if not bounds or None in bounds:
+        return None
+    return _join("or", bounds)
+
+
+def _as_text(col):
+    """The column as the template's f-string renders it, or None where
+    an Arrow string cast may differ from ``str()``."""
+    if pa.types.is_string(col.type) or pa.types.is_large_string(col.type):
+        return col
+    if pa.types.is_integer(col.type):
+        return pc.cast(col, pa.string())
+    return None
+
+
+def pushdown_mask(batch: pa.Table, bound):
+    """Rows of ``batch`` that may hold a node matching a selector with
+    needle ``bound`` (rule and soundness: module docstring)."""
+    cols = {name: _as_text(batch.column(name))
+            for name in _TEMPLATE_COLUMNS}
+    if None in cols.values():
+        return pa.repeat(True, batch.num_rows)
+    keep = needle_mask(pc.binary_join_element_wise(
+        "t", cols["text"], cols["lang"], ""), bound)
+    for col in cols.values():
+        keep = pc.or_kleene(keep, pc.match_substring_regex(col, _MARKUP_RE))
+    return pc.fill_null(keep, True)
+
+
+def _prefilter(batch: pa.Table, bound) -> pa.Table:
+    return batch if bound is None else batch.filter(
+        pushdown_mask(batch, bound))
 
 
 def selector_doc_html(doc_id, text, lang, source, n_chars=None) -> str:
@@ -64,8 +163,10 @@ class MultiSelectorQuery:
     def __init__(self, selectors):
         # dict name -> picklable Selector AST; compiled once per actor
         self.selectors = list(selectors.items())
+        self.bound = _any_bound(selectors.values())
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        batch = _prefilter(batch, self.bound)
         ids = batch.column("doc_id").to_pylist()
         texts = batch.column("text").to_pylist()
         langs = batch.column("lang").to_pylist()
@@ -94,9 +195,11 @@ class MultiSelectorQuery:
 class SelectorQuery:
     def __init__(self, selector):
         self.selector = selector        # picklable Selector AST
+        self.bound = selector_bound(selector)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         sel = self.selector
+        batch = _prefilter(batch, self.bound)
         ids = batch.column("doc_id").to_pylist()
         texts = batch.column("text").to_pylist()
         langs = batch.column("lang").to_pylist()

@@ -275,6 +275,21 @@ def test_local_shortcuts_guarded(ray_session, monkeypatch):
                                 pair_dedup="local")
 
 
+def test_simhash_local_shortcut_guarded(ray_session, monkeypatch):
+    """simhash_neardup_pairs(pair_dedup='local') above the ceiling
+    raises the documented ValueError, naming the corpus size (it used
+    to format the count before assigning it: UnboundLocalError)."""
+    import ray.data
+    from gumbo_pp_ray.stages import dedup
+
+    t = pa.table({"doc_id": pa.array(range(50), pa.int64()),
+                  "text": [f"doc number {i} words here" for i in range(50)]})
+    monkeypatch.setattr(dedup, "LOCAL_PATH_MAX_DOCS", 10)
+    with pytest.raises(ValueError, match="corpus has 50 docs"):
+        dedup.simhash_neardup_pairs(ray.data.from_arrow(t),
+                                    pair_dedup="local")
+
+
 def test_cogroup_verify_prune_equivalence(ray_session, monkeypatch):
     """The cost-gated candidate semi-join prune must not change the
     ids-plan output: identical pairs with the prune forced ON

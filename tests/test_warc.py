@@ -378,3 +378,25 @@ def test_gzip_corrupt_reports_single_error_row():
     # (prefix recovery itself is pinned by
     # test_gzip_corrupt_archive_recovers_prefix; this one pins the
     # single-row quarantine accounting)
+
+
+def test_url_less_fallback_ids_unique_across_flushes(ray_session, tmp_path):
+    """Two records with neither WARC-Target-URI nor WARC-Record-ID,
+    emitted in different flushes of one archive, get distinct fallback
+    doc_ids (the batch-local index gave both ``#record-0`` and merged
+    them downstream)."""
+    from gumbo_pp_ray.sources.warc import warc_to_interleaved
+
+    def url_less(body: bytes) -> bytes:
+        http = (b"HTTP/1.1 200 OK\r\nContent-Type: text/html\r\n\r\n"
+                + body)
+        return (b"WARC/1.0\r\nWARC-Type: response\r\n"
+                b"Content-Length: " + str(len(http)).encode()
+                + b"\r\n\r\n" + http + b"\r\n\r\n")
+
+    path = tmp_path / "anon.warc"
+    path.write_bytes(url_less(b"<p>first</p>") + url_less(b"<p>second</p>"))
+    ds = read_warc(str(path), flush_records=1).map_batches(
+        warc_to_interleaved, batch_format="pyarrow", batch_size=1)
+    ids = sorted(r["doc_id"] for r in ds.take_all())
+    assert ids == [f"{path}#record-0", f"{path}#record-1"]
