@@ -54,8 +54,8 @@ def _docs(sf_dir: str, columns=("doc_id", "text", "lang", "source")):
 
 def entry() -> Any:
     """Flagship pipeline on sf0.001: documents → interleaved spans →
-    split → actor-pool extraction → reassembly. Returns the extracted
-    Dataset (doc_id, spans, status, counters)."""
+    actor-pool extraction (pure map; mega-docs chunked in the actor).
+    Returns the extracted Dataset (doc_id, spans, status, counters)."""
     from gumbo_pp_ray.pipelines.extract_pipeline import extract_dataset
     from gumbo_pp_ray.pipelines.wrap import wrap_documents_chunked
 

@@ -1,7 +1,7 @@
 """Benchmark harness — prints ONE JSON line for the driver.
 
 Headline pipeline: interleaved-corpus extraction (wrap sf documents →
-split → actor-pool parse+extract → groupby reassembly → parquet sink).
+actor-pool parse+extract, pure map → parquet sink).
 
     python bench.py                 # $GRAFT_SF_DIR (default sf0.1),
                                     # $RAY_GRAFT_CPUS (default 32)

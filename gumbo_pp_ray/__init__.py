@@ -3,9 +3,9 @@
 A brand-new engine (NOT a port) with the query and extraction
 capabilities of beached/gumbo_pp (reference at /root/reference), built
 Ray-Data-first: ``ray.data.Dataset`` pipelines of ``map_batches`` over
-zero-copy Arrow batches, stateful parser actor pools, salted
-``groupby(doc_id)`` span reassembly, checkpoint-resumable partitioned
-output.
+zero-copy Arrow batches, stateful parser actor pools that chunk
+mega-documents in place (a pure-map extraction, no exchange),
+checkpoint-resumable partitioned output.
 
 Layers
 ------
@@ -16,8 +16,8 @@ Layers
                             gumbo_node_iterator / gumbo_matchers /
                             gumbo_text surfaces).
 ``gumbo_pp_ray.stages``     Ray Data batch transforms (assemble,
-                            extract actor pool, split/reassemble,
-                            dedup, text analysis, similarity, media).
+                            extract actor pool, dedup, text analysis,
+                            similarity, media).
 ``gumbo_pp_ray.sources``    read/write with resumable partition layout.
 ``gumbo_pp_ray.pipelines``  end-to-end pipelines + synthetic corpus.
 ``gumbo_pp_ray.functions``  scalar/batch helper functions (pyarrow

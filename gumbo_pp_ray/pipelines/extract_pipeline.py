@@ -1,12 +1,15 @@
 """The flagship pipeline: interleaved spans → extracted content spans.
 
-Topology (SURVEY.md §3.4)::
+Topology (SURVEY.md §3.4) — PURE MAP, no exchange::
 
     read (column-pruned)
-      → map_batches(SplitMegaDocs)            # stateless, skew defuse
       → map_batches(ExtractSpans, actor pool) # fused assemble+parse+extract
-      → groupby(hash(doc_id) % B) bucket reassembly  # the only shuffle
       → write_parquet (wave-partitioned, atomic, resumable)
+
+Each input row stays a complete document through extraction, so
+nothing is grouped or exchanged. Mega-doc skew is handled inside the
+actor: ``max_doc_bytes`` quarantines byte-bombs and ``split_threshold``
+parses an oversized document one span-slice at a time.
 
 Two execution shapes:
 
@@ -17,12 +20,6 @@ Two execution shapes:
   written to a temp name and atomically renamed, with a lineage
   manifest (input files, counters, wall time) under ``_lineage/``.
   A rerun skips completed waves (SURVEY.md §4.2 checkpoint/resume).
-
-Shuffle-avoidance note (100 TB thinking): when ``split_threshold`` is
-None the pipeline is PURE MAP — each input row stays a complete
-document through extraction, so no groupby is needed and nothing is
-exchanged. The shuffle path exists only to re-merge split mega-docs,
-and it shuffles extracted spans (output-sized), never raw HTML.
 """
 
 from __future__ import annotations
@@ -35,10 +32,9 @@ import uuid
 
 import ray.data
 
-from ..html.extract import ExtractProfile
+from ..html.extract import DEFAULT_PROFILE, ExtractProfile
 from ..sources.io import list_input_files, read_interleaved
 from ..stages.extractor import ExtractSpans
-from ..stages.split import SplitMegaDocs
 
 
 def extract_dataset(
@@ -46,76 +42,32 @@ def extract_dataset(
     *,
     profile: ExtractProfile | None = None,
     split_threshold: int | None = 256,
-    reassembly: str = "map",
     concurrency=None,
     batch_size: int = 96,
     max_doc_bytes: int | None = 256 * 1024 * 1024,
-    reassembly_buckets: int | None = None,
 ) -> "ray.data.Dataset":
     """Compose the extraction stages over an interleaved-docs Dataset.
 
-    ``reassembly`` picks the skew strategy for mega-docs:
-
-    * ``"map"`` (default) — PURE MAP topology, no shuffle: the
-      extractor actor parses an over-threshold document one
-      span-slice at a time (bounded memory) and emits the complete
-      reassembled row itself. Chunks of one doc stay on one actor —
-      right unless single documents are so large that one core
-      parsing one doc is itself the bottleneck.
-    * ``"shuffle"`` — the explicit splitter + ``groupby(doc_id)``
-      topology: chunk rows become independent tasks (cross-task
-      mega-doc parallelism) and the span sequence is re-merged by the
-      groupby shuffle, ordered (chunk_id, offset). The shuffle moves
-      extracted spans (output-sized), never raw HTML.
+    ``split_threshold`` is the in-actor ``chunk_spans`` slice size: a
+    document with more input spans is parsed one slice at a time
+    (bounded DOM memory) and emitted as one complete row; ``None``
+    parses every document whole. The actor pool is the last operator.
     """
     from ..state.sizing import default_pool_size
 
-    if reassembly not in ("map", "shuffle"):
-        raise ValueError(f"reassembly must be 'map' or 'shuffle': {reassembly}")
-    shuffle = reassembly == "shuffle" and split_threshold
-    if shuffle:
-        ds = ds.map_batches(SplitMegaDocs(split_threshold),
-                            batch_format="pyarrow")
     if concurrency is None:
         concurrency = default_pool_size()
-    ds = ds.map_batches(
+    return ds.map_batches(
         ExtractSpans,
         fn_constructor_kwargs={
             "profile": profile,
             "max_doc_bytes": max_doc_bytes,
-            "chunk_spans": None if shuffle else split_threshold},
+            "chunk_spans": split_threshold},
         batch_format="pyarrow",
         batch_size=batch_size,
         num_cpus=1,
         concurrency=concurrency,
     )
-    if shuffle:
-        # hash-bucketed reassembly: one vectorized task per bucket
-        # instead of one map_groups dispatch per doc (at 100k docs the
-        # per-group dispatch alone costs seconds); ordering per doc is
-        # (chunk_id, in-chunk offset) via the in-task sort, never block
-        # order
-        import functools
-        from ..stages.reassemble import add_reassembly_bucket, \
-            reassemble_bucket
-        pool = (concurrency if isinstance(concurrency, int)
-                else concurrency[1] if isinstance(concurrency, tuple)
-                else default_pool_size())
-        # per-bucket memory = total extracted spans / num_buckets; the
-        # pool-derived default fits single-node corpora — at multi-TB
-        # scale pass reassembly_buckets ≈ extracted_bytes / 256 MB so
-        # one bucket group stays worker-heap-sized
-        num_buckets = (reassembly_buckets if reassembly_buckets
-                       else max(16, 2 * pool))
-        ds = ds.map_batches(
-            functools.partial(add_reassembly_bucket,
-                              num_buckets=num_buckets),
-            batch_format="pyarrow")
-        ds = ds.groupby("rb", num_partitions=num_buckets).map_groups(
-            reassemble_bucket, batch_format="pyarrow")
-    # map topology: ExtractSpans already emitted the final schema (no
-    # chunk columns), so the actor pool is the last operator
-    return ds
 
 
 def _wave_name(i: int) -> str:
@@ -154,6 +106,36 @@ def _sweep_stale_tmps(out_dir: str, name: str):
             shutil_rmtree(stale)
 
 
+def _claim_run_config(out_dir: str, config: dict):
+    """Pin ``out_dir`` to the settings that shape its output bytes.
+
+    The first run creates ``_run_config.json`` (``O_CREAT|O_EXCL``: one
+    writer wins even when runs race); every later run — resume, retry
+    or racing competitor — must match it before any wave runs, because
+    both skipping a committed wave and adopting a racing winner's wave
+    assume the outputs are byte-identical."""
+    path = os.path.join(out_dir, "_run_config.json")
+    # frozenset profile slots serialize as sorted lists
+    text = json.dumps(config, sort_keys=True, indent=1, default=sorted)
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
+    except FileExistsError:
+        with open(path) as f:
+            committed = json.load(f)
+        mine = json.loads(text)
+        if committed != mine:
+            diff = sorted(k for k in committed.keys() | mine.keys()
+                          if committed.get(k) != mine.get(k))
+            raise ValueError(
+                f"run config mismatch for {out_dir}: it was started "
+                f"with different settings ({', '.join(diff)}) than this "
+                f"run. Resuming into it would mix the output of two "
+                f"configurations; write to a fresh out_dir.")
+        return
+    with os.fdopen(fd, "w") as f:
+        f.write(text)
+
+
 def run_extraction(
     input_path: str,
     out_dir: str,
@@ -179,6 +161,11 @@ def run_extraction(
     importable — raises ImportError otherwise (this sandbox ships no
     lance); ``"parquet"`` (default) writes identically-shaped parquet.
     Wave commit/resume semantics are format-independent.
+
+    The first run into ``out_dir`` pins the settings that shape the
+    output bytes (``split_threshold``, ``max_doc_bytes``,
+    ``output_format``, the profile); a later run with different ones
+    raises ``ValueError`` before any wave runs.
 
     Pool default differs from extract_dataset's: a multi-WAVE job
     creates one actor pool per wave, and back-to-back creation/teardown
@@ -215,6 +202,13 @@ def run_extraction(
              for i in range(0, len(files), files_per_wave)]
     lineage_dir = os.path.join(out_dir, "_lineage")
     os.makedirs(lineage_dir, exist_ok=True)
+    p = profile or DEFAULT_PROFILE
+    _claim_run_config(out_dir, {
+        "split_threshold": split_threshold,
+        "max_doc_bytes": max_doc_bytes,
+        "output_format": output_format,
+        "profile": {k: getattr(p, k) for k in ExtractProfile.__slots__},
+    })
 
     summary = {"waves_total": len(waves), "waves_run": 0,
                "waves_skipped": 0, "docs": 0, "spans": 0, "errors": 0}
@@ -355,9 +349,9 @@ def run_extraction(
         # raises, and before round 5 that crashed the losing run
         # (observed in the 1M-page drill when a presumed-dead driver
         # was still committing).  First commit wins; the loser's
-        # output is byte-identical (same inputs, deterministic
-        # extraction), so it is discarded and the wave counted from
-        # the winner's manifest.
+        # output is byte-identical (same inputs, the run config pinned
+        # by _claim_run_config, deterministic extraction), so it is
+        # discarded and the wave counted from the winner's manifest.
         try:
             os.replace(tmp_dir, final_dir)
         except OSError:

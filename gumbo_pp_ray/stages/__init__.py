@@ -2,9 +2,8 @@
 
 Modules:
     assemble        span-list → HTML payload plumbing
-    split           mega-doc splitter (shuffle topology)
-    extractor       the hot parse+select+strip actor pool
-    reassemble      groupby(doc_id) span re-merge
+    extractor       the hot parse+select+strip actor pool (in-actor
+                    mega-doc chunking)
     explode         spans list<struct> → one row per span
     selector_query  distributed matcher queries over templates
     table_query     scoped structured-table scrape (Q5)
@@ -25,11 +24,7 @@ Modules:
     pdf             PDF/layout parse plumbing (auto-probe)
 """
 
-from .assemble import assemble_html
-from .split import SplitMegaDocs
-from .extractor import ExtractSpans, EXTRACTED_SCHEMA
-from .reassemble import reassemble_chunks
+from .extractor import ExtractSpans
 from .explode import explode_spans
 
-__all__ = ["assemble_html", "SplitMegaDocs", "ExtractSpans",
-           "EXTRACTED_SCHEMA", "reassemble_chunks", "explode_spans"]
+__all__ = ["ExtractSpans", "explode_spans"]

@@ -6,9 +6,8 @@ HTML source is the concatenation of its span ``text`` fields in
 batch (zero-copy via ``ListArray.values`` / ``offsets``) and joins
 per-row slices — no per-row Arrow round trips.
 
-Exposed both as a standalone ``map_batches`` transform (adds an
-``html`` column) and as the in-actor helper the extractor uses (fused,
-so the payload string never crosses an object-store boundary).
+The single-process reference for the extractor's fused in-actor
+assembly (the payload string never crosses an object-store boundary).
 """
 
 from __future__ import annotations
@@ -42,10 +41,3 @@ def assemble_payloads(batch: pa.Table) -> list[str]:
         out.append("".join(seg))
     return out
 
-
-def assemble_html(batch: pa.Table) -> pa.Table:
-    """Standalone stage: ``spans`` → ``html`` column (large_string —
-    mega-doc payloads can overflow 32-bit offsets in a fat batch)."""
-    payloads = assemble_payloads(batch)
-    return batch.append_column(
-        "html", pa.array(payloads, type=pa.large_string()))

@@ -23,27 +23,6 @@ import pyarrow as pa
 from ..html.extract import DEFAULT_PROFILE, ExtractProfile, extract_spans
 from ..html.parser import parse
 
-SPANS_TYPE = pa.list_(pa.struct([
-    ("kind", pa.string()),
-    ("text", pa.string()),
-    ("media_ref", pa.string()),
-    ("offset", pa.int32()),
-]))
-
-# per-chunk schema of the SHUFFLE topology (chunk columns feed the
-# reassembly groupby); the map topology emits this schema minus
-# chunk_id/n_chunks directly
-EXTRACTED_SCHEMA = pa.schema([
-    ("doc_id", pa.string()),
-    ("chunk_id", pa.int32()),
-    ("n_chunks", pa.int32()),
-    ("spans", SPANS_TYPE),
-    ("status", pa.string()),
-    ("n_parse_errors", pa.int64()),
-    ("n_spans", pa.int64()),
-    ("n_bytes_in", pa.int64()),
-])
-
 
 class ExtractSpans:
     """parse → select → strip → emit ordered spans, per document row."""
@@ -54,18 +33,16 @@ class ExtractSpans:
                  cache_size: int = 256):
         # once per actor: compiled strip set / kind dispatch
         self.profile = profile or DEFAULT_PROFILE
-        # single-span payloads bypass the span-count splitter; this
-        # guard quarantines pathological byte-bombs instead of OOMing
-        # the actor (status="oversize")
+        # quarantines pathological byte-bombs instead of OOMing the
+        # actor (status="oversize"); chunk_spans cannot bound a
+        # single-span payload
         self.max_doc_bytes = max_doc_bytes
-        # in-actor mega-doc chunking (the pure-map skew path): a doc
-        # with more than chunk_spans input spans is assembled + parsed
-        # one span-slice at a time (each slice a self-contained
-        # fragment per the interleaved-table contract), bounding peak
-        # memory to one chunk's DOM instead of the whole mega-doc.
-        # Cross-TASK mega-doc parallelism needs the explicit
-        # splitter+groupby topology instead (extract_dataset
-        # reassembly="shuffle").
+        # in-actor mega-doc chunking: a doc with more than chunk_spans
+        # input spans is assembled + parsed one span-slice at a time
+        # (each slice a self-contained fragment per the
+        # interleaved-table contract), bounding peak memory to one
+        # chunk's DOM instead of the whole mega-doc; None parses the
+        # whole document at once
         self.chunk_spans = chunk_spans
         # exact-duplicate payload cache (web corpora repeat whole
         # documents — mirrors, retries, boilerplate pages): payload
@@ -82,16 +59,6 @@ class ExtractSpans:
         chunk = self.chunk_spans
         doc_ids = batch.column("doc_id").to_pylist()
         names = batch.schema.names
-        # chunk columns pass through only on the shuffle topology
-        # (SplitMegaDocs upstream, reassembly groupby downstream); the
-        # map topology emits the FINAL schema directly so the actor
-        # pool is the last operator — a trailing drop_columns would be
-        # a separate task-pool operator (actor->task ops don't fuse)
-        # costing one extra pass over the full output
-        chunked = "chunk_id" in names
-        if chunked:
-            chunk_ids = batch.column("chunk_id").to_pylist()
-            n_chunks = batch.column("n_chunks").to_pylist()
         # optional upstream-corruption marker (sources/warc.py error
         # rows): non-null → quarantine directly, same status="error"
         # contract as a poison parse — never dropped, never parsed
@@ -229,15 +196,11 @@ class ExtractSpans:
         spans_arr = pa.ListArray.from_arrays(pa.array(list_offsets),
                                              values)
 
-        cols = {"doc_id": pa.array(doc_ids, pa.string())}
-        if chunked:
-            cols["chunk_id"] = pa.array(chunk_ids, pa.int32())
-            cols["n_chunks"] = pa.array(n_chunks, pa.int32())
-        cols.update({
+        return pa.table({
+            "doc_id": pa.array(doc_ids, pa.string()),
             "spans": spans_arr,
             "status": pa.array(statuses, pa.string()),
             "n_parse_errors": pa.array(n_errs, pa.int64()),
             "n_spans": pa.array(n_spans, pa.int64()),
             "n_bytes_in": pa.array(n_bytes, pa.int64()),
         })
-        return pa.table(cols)

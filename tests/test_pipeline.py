@@ -1,5 +1,5 @@
 """End-to-end Ray Data pipeline tests: span-sequence equality vs the
-single-process kernel, mega-doc split/reassembly, quarantine,
+single-process kernel, in-actor mega-doc chunking, quarantine,
 checkpoint/resume."""
 
 import json
@@ -11,8 +11,7 @@ import pytest
 
 from gumbo_pp_ray.html import parse, extract_spans
 from gumbo_pp_ray.pipelines.corpus import CorpusSpec, gen_corpus, write_corpus
-from gumbo_pp_ray.stages.assemble import assemble_payloads, assemble_html
-from gumbo_pp_ray.stages.split import SplitMegaDocs
+from gumbo_pp_ray.stages.assemble import assemble_payloads
 from gumbo_pp_ray.stages.extractor import ExtractSpans
 
 
@@ -38,29 +37,6 @@ def test_assemble_joins_in_offset_order():
         ]],
     })
     assert assemble_payloads(t) == ["<p>A</p><p>B</p>"]
-    out = assemble_html(t)
-    assert out.column("html").to_pylist() == ["<p>A</p><p>B</p>"]
-
-
-def test_split_fast_path_adds_constant_columns():
-    t = gen_corpus(CorpusSpec(num_docs=10, mega_every=0))
-    out = SplitMegaDocs(10_000)(t)
-    assert out.num_rows == t.num_rows
-    assert set(out.column("n_chunks").to_pylist()) == {1}
-
-
-def test_split_chunks_mega_docs():
-    t = gen_corpus(CorpusSpec(num_docs=5, mega_every=2, mega_spans=300))
-    out = SplitMegaDocs(64)(t)
-    assert out.num_rows > t.num_rows
-    by_doc = {}
-    for r in out.to_pylist():
-        by_doc.setdefault(r["doc_id"], []).append(r)
-    for doc_id, rows in by_doc.items():
-        n = rows[0]["n_chunks"]
-        assert len(rows) == n
-        assert sorted(r["chunk_id"] for r in rows) == list(range(n))
-        assert all(len(r["spans"]) <= 64 for r in rows)
 
 
 def test_extractor_quarantines_oversize():
@@ -99,15 +75,15 @@ def corpus_table():
     return gen_corpus(CorpusSpec(num_docs=80, mega_every=25, mega_spans=400))
 
 
-@pytest.mark.parametrize("reassembly", ["map", "shuffle"])
-def test_e2e_span_sequence_equality(ray_session, corpus_table, reassembly):
+def test_e2e_span_sequence_equality(ray_session, corpus_table):
     import ray.data
     from gumbo_pp_ray.pipelines.extract_pipeline import extract_dataset
 
     expected = kernel_reference(corpus_table)
     ds = ray.data.from_arrow(corpus_table)
-    out = extract_dataset(ds, split_threshold=64, reassembly=reassembly,
-                          concurrency=2, batch_size=16)
+    # mega-docs (400 spans) are parsed in 64-span slices in the actor
+    out = extract_dataset(ds, split_threshold=64, concurrency=2,
+                          batch_size=16)
     rows = out.take_all()
     assert len(rows) == corpus_table.num_rows
     for r in rows:
@@ -451,6 +427,37 @@ def test_run_extraction_resume_rejects_changed_input(ray_session,
     with pytest.raises(ValueError, match="resume mismatch"):
         run_extraction(inp, out1, files_per_wave=2, concurrency=2,
                        batch_size=16)
+
+
+def test_run_extraction_rejects_changed_config(ray_session, tmp_path):
+    """A rerun into the same out_dir with a setting that changes the
+    output bytes must fail before any wave runs and leave the committed
+    waves untouched: a losing racer with another config could otherwise
+    delete the winner's uncommitted wave, and a resume would mix two
+    configurations' output.  A same-config rerun still resumes."""
+    from gumbo_pp_ray.pipelines.extract_pipeline import run_extraction
+
+    inp = str(tmp_path / "corpus")
+    out = str(tmp_path / "out")
+    write_corpus(inp, CorpusSpec(num_docs=20, mega_every=0), files=2)
+    s1 = run_extraction(inp, out, files_per_wave=1, concurrency=2,
+                        batch_size=16)
+    assert s1["waves_run"] == 2
+
+    def snapshot():
+        return {os.path.relpath(os.path.join(root, f), out):
+                os.path.getmtime(os.path.join(root, f))
+                for root, _dirs, files in os.walk(out) for f in files}
+
+    before = snapshot()
+    with pytest.raises(ValueError, match="run config mismatch"):
+        run_extraction(inp, out, files_per_wave=1, concurrency=2,
+                       batch_size=16, max_doc_bytes=1 << 20)
+    assert snapshot() == before
+    s2 = run_extraction(inp, out, files_per_wave=1, concurrency=2,
+                        batch_size=16)
+    assert s2["waves_skipped"] == 2 and s2["waves_run"] == 0
+    assert s2["docs"] == 20
 
 
 def test_run_extraction_zero_row_wave_commits(ray_session, tmp_path):
