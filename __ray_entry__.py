@@ -452,9 +452,9 @@ def _q_minhash_pairs(sf_dir: str):
     idx = os.path.join("/tmp/gumbo_q_sigidx",
                        os.path.basename(os.path.normpath(sf_dir)))
     shutil.rmtree(idx, ignore_errors=True)
-    write_signature_index(base, idx, concurrency=_qconc())
+    write_signature_index(base, idx)
     incr = minhash_lsh_pairs_incremental(
-        new, idx, threshold=0.5, concurrency=_qconc()).map_batches(
+        new, idx, threshold=0.5).map_batches(
         _tag_lit("mode", "incr"), batch_format="pyarrow")
     return full.union(incr)
 

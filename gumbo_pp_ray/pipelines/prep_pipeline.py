@@ -62,17 +62,6 @@ class PrepStats:
         })
 
 
-def _keep_min_doc(group: pa.Table) -> pa.Table:
-    """Per-hash reference reducer (winner = min doc_id); the pipeline
-    runs the bucketed vectorized form below — one UDF call per coarse
-    hash bucket, not one per distinct hash."""
-    ids = group.column("doc_id")
-    i = pa.compute.index(ids, pa.compute.min(ids))
-    row = group.slice(i.as_py(), 1)
-    return pa.table({"doc_id": row.column("doc_id"),
-                     "n_tokens": row.column("n_tokens")})
-
-
 def _keep_min_bucket(group: pa.Table) -> pa.Table:
     """One coarse bucket of (content_hash, doc_id, n_tokens) rows →
     the min-doc_id winner row per distinct hash, vectorized: byte-sort
@@ -99,22 +88,21 @@ def prep_training_corpus(ds, bench_ref, *, min_quality_milli: int = 500,
     zero benchmark overlap, exact-dup groups reduced to their minimum
     doc_id.
 
-    The dedup shuffle groups on a COARSE hash bucket (~100k distinct
-    hashes per reducer call, sized from ``ds.count()``) and resolves
-    winners vectorized inside — same shape as stages/dedup.py's
-    exact_dedup, never a Python call per distinct hash."""
-    import functools
-
-    from ..stages.dedup import _hash_str_bucket
+    The dedup shuffle groups on a COARSE hash bucket and resolves
+    winners vectorized inside — same shape and sizing as
+    stages/dedup.py's exact_dedup, never a Python call per distinct
+    hash."""
+    from ..state.exchange import digest_buckets, exchange, partitions_for
     from ..state.sizing import default_pool_size
     if concurrency is None:
         concurrency = default_pool_size()
+    n = None
     if num_buckets is None or num_partitions is None:
         n = ds.count()
         if num_buckets is None:
-            num_buckets = int(min(1 << 16, max(64, n // 100_000)))
+            num_buckets = partitions_for(n, 100_000, floor=64)
         if num_partitions is None:
-            num_partitions = max(8, min(65536, -(-n // 10_000)))
+            num_partitions = partitions_for(n, 10_000)
     stats = ds.map_batches(
         PrepStats,
         fn_constructor_kwargs={"bench_ref": bench_ref, "n": ngram},
@@ -124,9 +112,9 @@ def prep_training_corpus(ds, bench_ref, *, min_quality_milli: int = 500,
              f"and n_contaminated == 0")
 
     def add_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column("bucket", pa.array(_hash_str_bucket(
+        return batch.append_column("bucket", pa.array(digest_buckets(
             batch.column("content_hash"), num_buckets)))
 
-    return ok.map_batches(add_bucket, batch_format="pyarrow").groupby(
-        "bucket", num_partitions=num_partitions).map_groups(
-        _keep_min_bucket, batch_format="pyarrow")
+    return exchange(ok.map_batches(add_bucket, batch_format="pyarrow"),
+                    _keep_min_bucket, num_partitions=num_partitions,
+                    n_rows=n)

@@ -2,8 +2,8 @@
 
 ``asof_join_events_orders``: for every event, the most recent order of
 the same customer at or before the event time. Shape (ray_guide: as-of
-/ range join): both sides are bucketed by ``hash(key) % B``, unioned
-with a source tag, and each bucket group runs one
+/ range join): both sides are tagged with a source flag, unioned and
+bucketed by key (``state.exchange``), and each bucket group runs one
 ``pandas.merge_asof(..., by=key, direction="backward")`` over
 ts-sorted frames — per-bucket work is a linear merge; the exchange
 carries only the join columns.
@@ -16,9 +16,13 @@ keeping the output schema null-free and dtype-exact vs the oracle.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+
+from ..state.exchange import exchange, key_buckets, partitions_for
 
 
 def _tag_left(batch: pa.Table) -> pa.Table:
@@ -41,12 +45,6 @@ def _tag_right(batch: pa.Table) -> pa.Table:
         "right_id": batch.column("o_orderkey").cast(pa.int64()),
         "src": pa.array(np.ones(n, dtype=np.int8)),
     })
-
-
-def _add_bucket(batch: pa.Table, *, num_buckets: int) -> pa.Table:
-    keys = batch.column("key").to_numpy(zero_copy_only=False)
-    return batch.append_column(
-        "bucket", pa.array((keys % num_buckets).astype(np.int64)))
 
 
 def _bucket_asof(group: pd.DataFrame) -> pd.DataFrame:
@@ -72,15 +70,28 @@ def _bucket_asof(group: pd.DataFrame) -> pd.DataFrame:
     })
 
 
-#: target rows per bucket group — sized so one bucket's pandas frame
-#: (join columns only, ~40 B/row) stays well under a worker's heap
+#: target rows per bucket group — one bucket's pandas frame (join
+#: columns only, ~40 B/row) stays well under a worker's heap
 _ROWS_PER_BUCKET = 250_000
 
 
-def derive_num_buckets(total_rows: int) -> int:
-    """Bucket count from input size: ~_ROWS_PER_BUCKET rows per
-    bucket, floor 16 (parallelism on small inputs), cap 65536."""
-    return max(16, min(65536, -(-total_rows // _ROWS_PER_BUCKET)))
+def _bucketed_union(events_ds, orders_ds, num_buckets: int | None):
+    """Both sides pruned to the join columns, unioned and bucketed by
+    key; ``num_buckets=None`` sizes from the input counts (floor 16)."""
+    if num_buckets is None:
+        num_buckets = partitions_for(
+            events_ds.count() + orders_ds.count(), _ROWS_PER_BUCKET,
+            floor=16)
+    left = events_ds.map_batches(_tag_left, batch_format="pyarrow")
+    right = orders_ds.map_batches(_tag_right, batch_format="pyarrow")
+
+    def add_bucket(batch: pa.Table) -> pa.Table:
+        return batch.append_column("bucket", pa.array(key_buckets(
+            batch.column("key"), num_buckets=num_buckets)))
+
+    return (left.union(right).map_batches(add_bucket,
+                                          batch_format="pyarrow"),
+            num_buckets)
 
 
 def _add_slice(batch: pa.Table, *, slice_sec: int) -> pa.Table:
@@ -206,24 +217,10 @@ def asof_join_events_orders(events_ds, orders_ds, *,
     earlier slice's carry (exact, because slices partition time).
     Phase-2 load per key = unmatched events + slice summaries, not the
     full history.  ``None`` keeps the single-pass shape."""
-    import functools
-    if num_buckets is None:
-        num_buckets = derive_num_buckets(
-            events_ds.count() + orders_ds.count())
-    left = events_ds.map_batches(_tag_left, batch_format="pyarrow")
-    right = orders_ds.map_batches(_tag_right, batch_format="pyarrow")
-    both = left.union(right).map_batches(
-        functools.partial(_add_bucket, num_buckets=num_buckets),
-        batch_format="pyarrow")
+    both, num_buckets = _bucketed_union(events_ds, orders_ds, num_buckets)
     if slice_sec is None:
-        # num_partitions MUST track num_buckets: Ray's sort-based
-        # groupby otherwise defaults its partition count to the input
-        # block count, so one map_groups task would materialize
-        # ~input/blocks rows — unbounded at corpus scale, defeating
-        # the _ROWS_PER_BUCKET sizing
-        return both.groupby(
-            "bucket", num_partitions=num_buckets).map_groups(
-            _bucket_asof, batch_format="pandas")
+        return exchange(both, _bucket_asof, num_partitions=num_buckets,
+                        batch_format="pandas")
     both = both.map_batches(
         functools.partial(_add_slice, slice_sec=slice_sec),
         batch_format="pyarrow")
@@ -232,21 +229,15 @@ def asof_join_events_orders(events_ds, orders_ds, *,
         # phase-1 partition = hash(bucket, slice): a hot key's history
         # still splits across tasks by slice, but each task processes
         # MANY cells in one vectorized pass
-        b = batch.column("bucket").to_numpy(zero_copy_only=False) \
-            .astype(np.uint64)
-        s = batch.column("slice").to_numpy(zero_copy_only=False) \
-            .astype(np.uint64)
-        mix = np.uint64(0x9E3779B97F4A7C15)
-        cell = ((b * mix + s) * mix % np.uint64(num_buckets)) \
-            .astype(np.int64)
-        return batch.append_column("cell", pa.array(cell))
+        return batch.append_column("cell", pa.array(key_buckets(
+            batch.column("bucket"), batch.column("slice"),
+            num_buckets=num_buckets)))
 
     both = both.map_batches(add_cell_bucket, batch_format="pyarrow")
-    phase1 = both.groupby("cell", num_partitions=num_buckets).map_groups(
-        _sliced_asof_phase1, batch_format="pandas")
-    return phase1.groupby(
-        "bucket", num_partitions=num_buckets).map_groups(
-        _sliced_asof_phase2, batch_format="pandas")
+    phase1 = exchange(both, _sliced_asof_phase1, key="cell",
+                      num_partitions=num_buckets, batch_format="pandas")
+    return exchange(phase1, _sliced_asof_phase2,
+                    num_partitions=num_buckets, batch_format="pandas")
 
 
 def _bucket_range_count(group: pd.DataFrame, *, window_sec: int
@@ -300,16 +291,7 @@ def range_count_events_orders(events_ds, orders_ds, *,
     join; the exchange carries only join columns.  Events with zero
     matching orders are KEPT (count 0) so the output is total over
     events."""
-    import functools
-    if num_buckets is None:
-        num_buckets = derive_num_buckets(
-            events_ds.count() + orders_ds.count())
-    left = events_ds.map_batches(_tag_left, batch_format="pyarrow")
-    right = orders_ds.map_batches(_tag_right, batch_format="pyarrow")
-    both = left.union(right).map_batches(
-        functools.partial(_add_bucket, num_buckets=num_buckets),
-        batch_format="pyarrow")
-    return both.groupby(
-        "bucket", num_partitions=num_buckets).map_groups(
-        functools.partial(_bucket_range_count, window_sec=window_sec),
-        batch_format="pandas")
+    both, num_buckets = _bucketed_union(events_ds, orders_ds, num_buckets)
+    return exchange(
+        both, functools.partial(_bucket_range_count, window_sec=window_sec),
+        num_partitions=num_buckets, batch_format="pandas")

@@ -8,11 +8,11 @@ state, no broadcast of the vocabulary:
 1. map_batches: (doc_id, token, tf) rows, one per DISTINCT token per
    doc (pre-combined in the batch, so the exchange is bounded by
    distinct-tokens-per-doc, not token occurrences);
-2. groupby(hash(token) % B): a token's rows land in ONE group, so the
+2. exchange by token bucket: a token's rows land in ONE group, so the
    group computes df(token) locally AND attaches the integer idf to
    every row — document frequency never exists as a separate pass or
    a driver-side dict;
-3. groupby(hash(doc) % B): per-doc score sum.
+3. exchange by doc bucket: per-doc score sum.
 
 Integer arithmetic end to end (score_milli = Σ tf · (1000·N // df))
 so the DuckDB oracle reproduces results bit-exactly — floating idf
@@ -31,13 +31,7 @@ import functools
 import numpy as np
 import pyarrow as pa
 
-_MIX = np.uint64(0x9E3779B97F4A7C15)
-
-
-def _bucket_str(vals, num_buckets: int) -> pa.Array:
-    import zlib
-    return pa.array([zlib.crc32(v.encode("utf-8")) % num_buckets
-                     for v in vals], pa.int64())
+from ..state.exchange import exchange, key_buckets
 
 
 def doc_token_tf(batch: pa.Table, *, num_buckets: int) -> pa.Table:
@@ -54,7 +48,7 @@ def doc_token_tf(batch: pa.Table, *, num_buckets: int) -> pa.Table:
         out_tok.extend(counts.keys())
         out_tf.extend(counts.values())
     return pa.table({
-        "bucket": _bucket_str(out_tok, num_buckets),
+        "bucket": pa.array(key_buckets(out_tok, num_buckets=num_buckets)),
         "doc_id": pa.array(out_id, pa.int64()),
         "token": pa.array(out_tok, pa.string()),
         "tf": pa.array(out_tf, pa.int64()),
@@ -75,9 +69,7 @@ def _attach_idf_group(group: pa.Table, *, n_docs: int,
     score = tf * (1000 * n_docs // df)
     ids = group.column("doc_id").to_numpy(zero_copy_only=False)
     return pa.table({
-        "bucket": pa.array(
-            ((ids.astype(np.uint64) * _MIX)
-             % np.uint64(num_buckets)).astype(np.int64)),
+        "bucket": pa.array(key_buckets(ids, num_buckets=num_buckets)),
         "doc_id": group.column("doc_id"),
         "score": pa.array(score.astype(np.int64), pa.int64()),
     })
@@ -102,12 +94,11 @@ def tfidf_doc_scores(ds, *, num_partitions: int = 16,
     rows = ds.map_batches(
         functools.partial(doc_token_tf, num_buckets=num_partitions),
         batch_format="pyarrow")
-    scored = rows.groupby("bucket", num_partitions=num_partitions) \
-        .map_groups(functools.partial(_attach_idf_group, n_docs=n_docs,
-                                      num_buckets=num_partitions),
-                    batch_format="pyarrow")
-    return scored.groupby("bucket", num_partitions=num_partitions) \
-        .map_groups(_sum_scores_group, batch_format="pyarrow")
+    scored = exchange(rows, functools.partial(
+        _attach_idf_group, n_docs=n_docs, num_buckets=num_partitions),
+        num_partitions=num_partitions, n_rows=n_docs)
+    return exchange(scored, _sum_scores_group,
+                    num_partitions=num_partitions, n_rows=n_docs)
 
 
 # ----------------------------------------------------- decontamination
@@ -185,7 +176,7 @@ def _decon_gram_rows(batch: pa.Table, *, n: int, num_buckets: int,
         out_id.extend([i] * len(grams))
         out_g.extend(grams)
     return pa.table({
-        "bucket": _bucket_str(out_g, num_buckets),
+        "bucket": pa.array(key_buckets(out_g, num_buckets=num_buckets)),
         "doc_id": pa.array(out_id, pa.int64()),
         "gram": pa.array(out_g, pa.string()),
     })
@@ -208,9 +199,7 @@ def _gram_hits_group(group: pa.Table, *, num_buckets: int) -> pa.Table:
     doc_hit_ids = ids[~bench_mask & member]
     uniq, counts = np.unique(doc_hit_ids, return_counts=True)
     return pa.table({
-        "bucket": pa.array(
-            ((uniq.astype(np.uint64) * _MIX)
-             % np.uint64(num_buckets)).astype(np.int64)),
+        "bucket": pa.array(key_buckets(uniq, num_buckets=num_buckets)),
         "doc_id": pa.array(uniq, pa.int64()),
         "hits": pa.array(counts.astype(np.int64), pa.int64()),
     })
@@ -219,9 +208,7 @@ def _gram_hits_group(group: pa.Table, *, num_buckets: int) -> pa.Table:
 def _doc_anchor_rows(batch: pa.Table, *, num_buckets: int) -> pa.Table:
     ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
     return pa.table({
-        "bucket": pa.array(
-            ((ids.astype(np.uint64) * _MIX)
-             % np.uint64(num_buckets)).astype(np.int64)),
+        "bucket": pa.array(key_buckets(ids, num_buckets=num_buckets)),
         "doc_id": pa.array(ids, pa.int64()),
         "hits": pa.array(np.full(len(ids), -1, dtype=np.int64)),
     })
@@ -285,16 +272,15 @@ def _exact_gram_verify(ds, doc_gram_rows, bench_ds, *, n: int,
         functools.partial(_decon_gram_rows, n=n,
                           num_buckets=num_partitions, is_bench=True),
         batch_format="pyarrow")
-    partial_hits = doc_gram_rows.union(bench_grams).groupby(
-        "bucket", num_partitions=num_partitions).map_groups(
+    partial_hits = exchange(
+        doc_gram_rows.union(bench_grams),
         functools.partial(_gram_hits_group, num_buckets=num_partitions),
-        batch_format="pyarrow")
+        num_partitions=num_partitions)
     anchors = ds.select_columns(["doc_id"]).map_batches(
         functools.partial(_doc_anchor_rows, num_buckets=num_partitions),
         batch_format="pyarrow")
-    return anchors.union(partial_hits).groupby(
-        "bucket", num_partitions=num_partitions).map_groups(
-        _sum_hits_group, batch_format="pyarrow")
+    return exchange(anchors.union(partial_hits), _sum_hits_group,
+                    num_partitions=num_partitions)
 
 
 # ------------------------------------- Bloom-accelerated decontamination
@@ -391,7 +377,7 @@ def _bloom_suspect_rows(batch: pa.Table, *, n: int, num_buckets: int,
                 out_id.append(i)
                 out_g.append(g)
     return pa.table({
-        "bucket": _bucket_str(out_g, num_buckets),
+        "bucket": pa.array(key_buckets(out_g, num_buckets=num_buckets)),
         "doc_id": pa.array(out_id, pa.int64()),
         "gram": pa.array(out_g, pa.string()),
     })

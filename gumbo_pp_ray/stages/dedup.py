@@ -30,6 +30,10 @@ import zlib
 import numpy as np
 import pyarrow as pa
 
+from ..state.exchange import (
+    digest_buckets, exchange, key_buckets, partitions_for,
+)
+
 # ---------------------------------------------------------- exact dedup
 
 def add_content_hash(batch: pa.Table, *, normalize: bool = False
@@ -46,39 +50,6 @@ def add_content_hash(batch: pa.Table, *, normalize: bool = False
     })
 
 
-def keep_first_in_group(group: pa.Table) -> pa.Table:
-    """Per-hash reducer: deterministic winner = min(doc_id).  Kept as
-    the semantic reference / unit-test surface; the pipeline itself
-    runs the vectorized bucket form (_exact_merge_bucket) — one UDF
-    call per COARSE bucket of hashes, not one per distinct hash."""
-    ids = group.column("doc_id")
-    m = pa.compute.min(ids).as_py()
-    return pa.table({
-        "content_hash": group.column("content_hash").slice(0, 1),
-        "doc_id": pa.array([m], ids.type),
-        "n_dups": pa.array([group.num_rows], pa.int64()),
-    })
-
-
-def _hash_str_bucket(col, num_buckets: int) -> np.ndarray:
-    """md5-hex string column → int64 bucket, vectorized.  The hex
-    NIBBLES are decoded back to digest bytes first — XOR-folding the
-    raw ASCII (an earlier revision) kept the hex alphabet's fixed
-    high-nibble bits, leaving most buckets unreachable and skewing
-    per-bucket load up to ~129x at the 65536-bucket cap; decoded
-    digest bytes are uniform by construction."""
-    s = np.ascontiguousarray(
-        col.to_numpy(zero_copy_only=False).astype("S32"))
-    if len(s) == 0:
-        return np.empty(0, dtype=np.int64)
-    a = s.view(np.uint8).reshape(len(s), 32)
-    nib = (a - 48 - (a >= 97) * 39).astype(np.uint8)   # '0'-'9','a'-'f'
-    by = (nib[:, 0::2] << 4) | nib[:, 1::2]            # (n, 16) bytes
-    v = np.ascontiguousarray(by).view(np.uint64)       # (n, 2) words
-    return ((v[:, 0] ^ v[:, 1])
-            % np.uint64(num_buckets)).astype(np.int64)
-
-
 def _exact_partial(batch: pa.Table, *, num_buckets: int) -> pa.Table:
     """Per-block combiner (Arrow C++ hash group-by): one row per
     distinct hash per block BEFORE the shuffle — (hash, min id, count)
@@ -86,8 +57,8 @@ def _exact_partial(batch: pa.Table, *, num_buckets: int) -> pa.Table:
     t = batch.group_by("content_hash").aggregate(
         [("doc_id", "min"), ("doc_id", "count")])
     return t.append_column(
-        "bucket", pa.array(_hash_str_bucket(t.column("content_hash"),
-                                            num_buckets)))
+        "bucket", pa.array(digest_buckets(t.column("content_hash"),
+                                          num_buckets)))
 
 
 def _exact_merge_bucket(group: pa.Table) -> pa.Table:
@@ -121,25 +92,27 @@ def exact_dedup(ds, *, normalize: bool = False,
     Shape: vectorized hash column → per-block Arrow combiner (one row
     per distinct hash per block) → ONE shuffle keyed on a coarse hash
     bucket → vectorized per-bucket merge (sort + ``reduceat``).
-    Bucket count targets ~100k distinct hashes per merge call (~5 MB),
-    sized from ``ds.count()`` when not given (metadata-fast for
-    parquet reads) — so the merge stays a handful of numpy ops per
-    task at any corpus size, never a Python call per distinct hash."""
+    Bucket and partition counts not given are sized from
+    ``ds.count()`` (metadata-fast for parquet reads) by
+    ``state.exchange.partitions_for`` — so the merge stays a handful
+    of numpy ops per task at any corpus size, never a Python call per
+    distinct hash."""
     import functools
+    n = None
     if num_buckets is None or num_partitions is None:
         n = ds.count()
         if num_buckets is None:
-            num_buckets = int(min(1 << 16, max(64, n // 100_000)))
+            num_buckets = partitions_for(n, 100_000, floor=64)
         if num_partitions is None:
-            num_partitions = max(8, min(65536, -(-n // 10_000)))
+            num_partitions = partitions_for(n, 10_000)
     ds = ds.map_batches(
         functools.partial(add_content_hash, normalize=normalize),
         batch_format="pyarrow")
     ds = ds.map_batches(
         functools.partial(_exact_partial, num_buckets=num_buckets),
         batch_format="pyarrow")
-    return ds.groupby("bucket", num_partitions=num_partitions).map_groups(
-        _exact_merge_bucket, batch_format="pyarrow")
+    return exchange(ds, _exact_merge_bucket,
+                    num_partitions=num_partitions, n_rows=n)
 
 
 # ------------------------------------------------------ MinHash + LSH
@@ -291,8 +264,8 @@ def lsh_bands(batch: pa.Table, *, bands: int = 16, rows: int = 8,
     per doc (16 KB/doc at 128 perms) to ~16 B/doc, and signatures are
     joined back over the (small) candidate set afterwards.
 
-    ``num_buckets`` adds an int64 ``bucket`` column (band_key mod
-    num_buckets): the COARSE shuffle key — grouping on it lets the
+    ``num_buckets`` adds an int64 ``bucket`` column (band_key hashed
+    to num_buckets): the COARSE shuffle key — grouping on it lets the
     bucket reducers run once per bucket over many band keys
     (vectorized run detection) instead of once per distinct band key
     (a Python/Arrow UDF call per tiny group, the round-4 bottleneck:
@@ -330,8 +303,8 @@ def lsh_bands(batch: pa.Table, *, bands: int = 16, rows: int = 8,
         idx = np.repeat(np.arange(n, dtype=np.int64), bands)
         cols["signature"] = batch.column("signature").take(pa.array(idx))
     if num_buckets:
-        cols["bucket"] = pa.array(
-            (flat % np.uint64(num_buckets)).astype(np.int64))
+        cols["bucket"] = pa.array(key_buckets(flat,
+                                              num_buckets=num_buckets))
     return pa.table(cols)
 
 
@@ -339,17 +312,6 @@ def lsh_bands(batch: pa.Table, *, bands: int = 16, rows: int = 8,
 #: overflow members are star-linked instead (see _run_pair_idx).
 HOT_BUCKET_CAP = 256
 
-
-def _band_bucket_count(n_band_rows: int | None,
-                       num_partitions: int | None) -> int:
-    """Coarse-bucket count for the band-row shuffle: target ~100k band
-    rows per reducer call (a few MB sorted + a handful of numpy ops) —
-    few enough buckets that per-call overhead vanishes, small enough
-    that one bucket always fits a worker heap.  Falls back to
-    8 x num_partitions when the row count is unknown."""
-    if n_band_rows:
-        return int(min(1 << 20, max(64, n_band_rows // 100_000)))
-    return max(64, 8 * (num_partitions or 8))
 
 # Ceiling for the verify="local" / pair_dedup="local" shortcuts: above
 # this, minhash_lsh_pairs refuses them (the distributed plans are the
@@ -579,10 +541,6 @@ def _fixed_binary_to_matrix(col) -> np.ndarray:
     return mat[col.offset:col.offset + len(col)]
 
 
-_MIX_A = np.uint64(0x9E3779B97F4A7C15)
-_MIX_B = np.uint64(0xC2B2AE3D27D4EB4F)
-
-
 #: Cost gate for the candidate semi-join prune: at or below this many
 #: candidate pairs, the distinct candidate ids (≤ 2/pair, 8 B each →
 #: ≤32 MB) ride ONE ray.put broadcast and the signature dataset is
@@ -642,12 +600,6 @@ def _prune_sigs_to_candidates(cand, sigs, *,
     return cand, sigs
 
 
-def _doc_bucket(ids: np.ndarray, num_buckets: int) -> np.ndarray:
-    """Deterministic (process-stable) doc → bucket hash."""
-    return ((ids.astype(np.uint64) * _MIX_A)
-            % np.uint64(num_buckets)).astype(np.int64)
-
-
 def _cogroup_sig_rows(t: pa.Table, *, num_buckets: int) -> pa.Table:
     """Signatures → co-group rows (src=0): one row per doc, bucketed
     by hash(doc_id).  ``other`` is the pair's second id slot, unused
@@ -656,7 +608,7 @@ def _cogroup_sig_rows(t: pa.Table, *, num_buckets: int) -> pa.Table:
     ids = t2.column("doc_id").to_numpy(zero_copy_only=False)
     n = len(t2)
     return pa.table({
-        "bucket": pa.array(_doc_bucket(ids, num_buckets), pa.int64()),
+        "bucket": pa.array(key_buckets(ids, num_buckets=num_buckets)),
         "doc_id": t2.column("doc_id").cast(pa.int64()),
         "other": pa.nulls(n, pa.int64()),
         "src": pa.array(np.zeros(n, dtype=np.int8)),
@@ -672,7 +624,7 @@ def _cogroup_pair_rows_a(t: pa.Table, *, num_buckets: int,
     b = t.column("doc_b").to_numpy(zero_copy_only=False).astype(np.int64)
     n = len(a)
     return pa.table({
-        "bucket": pa.array(_doc_bucket(a, num_buckets), pa.int64()),
+        "bucket": pa.array(key_buckets(a, num_buckets=num_buckets)),
         "doc_id": pa.array(a, pa.int64()),
         "other": pa.array(b, pa.int64()),
         "src": pa.array(np.ones(n, dtype=np.int8)),
@@ -680,13 +632,13 @@ def _cogroup_pair_rows_a(t: pa.Table, *, num_buckets: int,
     })
 
 
-def _attach_a_group(group: pa.Table) -> pa.Table:
+def _attach_a_group(group: pa.Table, *, num_buckets: int) -> pa.Table:
     """Verify stage 1 (one bucket group): signatures of every doc
     hashing here (src=0) + candidate pairs keyed by doc_a (src=1).
     Dedupes the pairs (duplicates from multiple matching bands share
     doc_a, hence this bucket — np.unique is a GLOBAL exact distinct)
     and attaches sig_a via vectorized index_in/take.  Emits co-group
-    rows for stage 2, re-keyed by doc_b."""
+    rows for stage 2, re-keyed (and re-bucketed) by doc_b."""
     src = group.column("src")
     sig_rows = group.filter(pa.compute.equal(src, 0))
     pair_rows = group.filter(pa.compute.equal(src, 1))
@@ -707,27 +659,13 @@ def _attach_a_group(group: pa.Table) -> pa.Table:
     fnp = found.to_numpy(zero_copy_only=False)
     sig_a = pa.compute.take(sig_rows.column("sig").combine_chunks(),
                             idx.filter(found))
-    # placeholder bucket: stage 2's wrapper re-buckets by doc_b
+    b = ub[fnp].astype(np.int64)
     return pa.table({
-        "bucket": pa.array(np.zeros(int(fnp.sum()), dtype=np.int64)),
-        "doc_id": pa.array(ua[fnp], pa.int64()),      # doc_a
-        "other": pa.array(ub[fnp], pa.int64()),       # doc_b
-        "src": pa.array(np.ones(int(fnp.sum()), dtype=np.int8)),
+        "bucket": pa.array(key_buckets(b, num_buckets=num_buckets)),
+        "doc_id": pa.array(b),                        # doc_b
+        "other": pa.array(ua[fnp], pa.int64()),       # doc_a
+        "src": pa.array(np.ones(len(b), dtype=np.int8)),
         "sig": sig_a,                                 # sig_a attached
-    })
-
-
-def _rekey_by_other(t: pa.Table, *, num_buckets: int) -> pa.Table:
-    """Stage-1 output → stage-2 co-group rows: key/bucket by doc_b
-    (the pair's other id), carrying sig_a."""
-    a = t.column("doc_id").to_numpy(zero_copy_only=False)
-    b = t.column("other").to_numpy(zero_copy_only=False)
-    return pa.table({
-        "bucket": pa.array(_doc_bucket(b, num_buckets), pa.int64()),
-        "doc_id": pa.array(b, pa.int64()),            # doc_b
-        "other": pa.array(a, pa.int64()),             # doc_a
-        "src": t.column("src"),
-        "sig": t.column("sig"),
     })
 
 
@@ -766,6 +704,29 @@ def _attach_b_group(group: pa.Table, *, threshold: float) -> pa.Table:
     })
 
 
+def _cogroup_verify(sig_rows, cand, *, num_partitions: int,
+                    sig_width: int, threshold: float,
+                    attach_a=_attach_a_group, attach_b=_attach_b_group):
+    """The two bucketed co-group attaches: candidate pairs keyed by
+    doc_a meet the signature rows (``attach_a`` attaches sig_a; its
+    in-group np.unique is the GLOBAL pair distinct, since every
+    duplicate of a pair shares doc_a), re-key by doc_b, and meet the
+    signature rows again (``attach_b`` attaches sig_b and verifies).
+    ``sig_rows`` are ``_cogroup_sig_rows`` output bucketed over
+    ``num_partitions``."""
+    import functools
+    pair_rows = cand.map_batches(
+        functools.partial(_cogroup_pair_rows_a,
+                          num_buckets=num_partitions, sig_width=sig_width),
+        batch_format="pyarrow")
+    with_a = exchange(sig_rows.union(pair_rows),
+                      functools.partial(attach_a, num_buckets=num_partitions),
+                      num_partitions=num_partitions)
+    return exchange(sig_rows.union(with_a),
+                    functools.partial(attach_b, threshold=threshold),
+                    num_partitions=num_partitions)
+
+
 def _distinct_pairs(ds, extra_cols: tuple = ()):
     """Distributed distinct over (doc_a, doc_b[, extra]) — a hash
     groupby + count, exchange carries only the narrow key columns.
@@ -779,7 +740,7 @@ def _distinct_pairs(ds, extra_cols: tuple = ()):
 
 def minhash_lsh_pairs(ds, *, num_perm=128, bands=16, rows=8,
                       shingle_words=3, threshold=0.5, seed=42,
-                      concurrency=None, pair_dedup="shuffle",
+                      pair_dedup="shuffle",
                       band_exchange="auto", verify="cogroup",
                       num_partitions=None,
                       auto_signatures_max_docs=100_000):
@@ -812,13 +773,9 @@ def minhash_lsh_pairs(ds, *, num_perm=128, bands=16, rows=8,
 
     ``verify`` (ids mode only) selects how signatures meet candidates:
 
-    * ``"cogroup"`` (default): two bucketed distributed co-groups.
-      Pairs keyed by doc_a union with the signature rows and ONE
-      ``groupby(hash % B)`` attaches sig_a (vectorized index_in/take;
-      an in-group np.unique doubles as the GLOBAL pair distinct since
-      a pair's duplicates share doc_a); the rows re-key by doc_b and
-      a second co-group attaches sig_b and computes the vectorized
-      slot-agreement estimate.  Fully lazy Dataset-out; nothing
+    * ``"cogroup"`` (default): two bucketed distributed co-groups
+      (``_cogroup_verify``: attach sig_a by doc_a, then sig_b and the
+      slot-agreement estimate by doc_b).  Fully lazy Dataset-out; nothing
       pair-set-sized ever lands on the driver — on boilerplate-heavy
       corpora the candidate set is O(corpus), so this is the only
       shape that survives 10^12 docs.  (``Dataset.join`` would express
@@ -847,12 +804,8 @@ def minhash_lsh_pairs(ds, *, num_perm=128, bands=16, rows=8,
                          if n_docs <= auto_signatures_max_docs
                          else "ids")
         if num_partitions is None:
-            # shuffle partition count from DATA size, not pool size:
-            # tiny corpora pay ~fixed cost per sort partition, huge
-            # corpora need enough partitions to bound per-task memory
-            num_partitions = max(8, min(65536, -(-n_docs // 10_000)))
-    del concurrency          # accepted for API compat; the signature
-    #                          stage is a task pool now (see below)
+            # shuffle partition count from DATA size, not pool size
+            num_partitions = partitions_for(n_docs, 10_000)
     if num_partitions is None:
         num_partitions = max(8, default_pool_size())
     if "local" in (verify, pair_dedup):
@@ -875,18 +828,21 @@ def minhash_lsh_pairs(ds, *, num_perm=128, bands=16, rows=8,
         functools.partial(minhash_signatures, num_perm=num_perm,
                           shingle_words=shingle_words, seed=seed),
         batch_format="pyarrow")
-    num_buckets = _band_bucket_count(
-        n_docs * bands if n_docs is not None else None, num_partitions)
+    # coarse band buckets: ~100k band rows per reducer call, or
+    # 8 x num_partitions when the corpus was not counted
+    num_buckets = (max(64, 8 * num_partitions) if n_docs is None else
+                   partitions_for(n_docs * bands, 100_000, floor=64,
+                                  cap=1 << 20))
     carry = band_exchange == "signatures"
     if carry:
         bandrows = sigs.map_batches(
             functools.partial(lsh_bands, bands=bands, rows=rows,
                               num_buckets=num_buckets),
             batch_format="pyarrow")
-        pairs = bandrows.groupby(
-            "bucket", num_partitions=num_partitions).map_groups(
+        pairs = exchange(
+            bandrows,
             functools.partial(bucket_candidate_pairs, threshold=threshold),
-            batch_format="pyarrow")
+            num_partitions=num_partitions, n_rows=n_docs)
         if pair_dedup == "shuffle":
             # estimates are signature-determined, identical across
             # bands → keying on all 3 columns is an exact distinct
@@ -903,37 +859,21 @@ def minhash_lsh_pairs(ds, *, num_perm=128, bands=16, rows=8,
                           carry_signature=False,
                           num_buckets=num_buckets),
         batch_format="pyarrow")
-    cand = bandrows.groupby(
-        "bucket", num_partitions=num_partitions).map_groups(
-        bucket_candidate_ids, batch_format="pyarrow")
+    cand = exchange(bandrows, bucket_candidate_ids,
+                    num_partitions=num_partitions, n_rows=n_docs)
 
     if verify == "cogroup":
-        # TWO bucketed co-groups: attach sig_a (keyed by doc_a, with
-        # the in-group np.unique acting as the global pair distinct —
-        # all duplicates of a pair share doc_a, hence a bucket), then
-        # attach sig_b + verify (keyed by doc_b).  No separate
-        # pre-dedup shuffle needed.
+        # TWO bucketed co-groups (attach sig_a by doc_a, then sig_b +
+        # verify by doc_b); no separate pre-dedup shuffle needed
         cand, sigs = _prune_sigs_to_candidates(cand, sigs)
         sig_rows = sigs.map_batches(
             functools.partial(_cogroup_sig_rows,
                               num_buckets=num_partitions),
             batch_format="pyarrow")
-        pair_rows = cand.map_batches(
-            functools.partial(_cogroup_pair_rows_a,
-                              num_buckets=num_partitions,
-                              sig_width=num_perm * 8),
-            batch_format="pyarrow")
-        with_a = sig_rows.union(pair_rows).groupby(
-            "bucket", num_partitions=num_partitions).map_groups(
-            _attach_a_group, batch_format="pyarrow")
-        stage2 = with_a.map_batches(
-            functools.partial(_rekey_by_other,
-                              num_buckets=num_partitions),
-            batch_format="pyarrow")
-        return sig_rows.union(stage2).groupby(
-            "bucket", num_partitions=num_partitions).map_groups(
-            functools.partial(_attach_b_group, threshold=threshold),
-            batch_format="pyarrow")
+        return _cogroup_verify(sig_rows, cand,
+                               num_partitions=num_partitions,
+                               sig_width=num_perm * 8,
+                               threshold=threshold)
 
     if pair_dedup == "shuffle":
         cand = _distinct_pairs(cand)
@@ -1093,8 +1033,8 @@ def simhash_bands(batch: pa.Table, *, bands: int = 4,
     free across bands because the value is masked to ``width`` bits,
     so each band's keys occupy a disjoint 2^width-sized block of the
     key space.  ``num_buckets`` adds the coarse ``bucket``
-    column (key mod num_buckets) for the vectorized reducer, as in
-    lsh_bands."""
+    column (key hashed to num_buckets) for the vectorized reducer, as
+    in lsh_bands."""
     n = batch.num_rows
     hs = batch.column("simhash").to_numpy(zero_copy_only=False)
     width = 64 // bands
@@ -1114,11 +1054,8 @@ def simhash_bands(batch: pa.Table, *, bands: int = 4,
         "simhash": pa.array(np.repeat(hs, bands)),
     }
     if num_buckets:
-        # mix before the modulo: raw band keys are structured (band id
-        # in the top bits), FNV-fold spreads them across buckets
-        mixed = (flat ^ _FNV_OFFSET) * _FNV_PRIME
-        cols["bucket"] = pa.array(
-            (mixed % np.uint64(num_buckets)).astype(np.int64))
+        cols["bucket"] = pa.array(key_buckets(flat,
+                                              num_buckets=num_buckets))
     return pa.table(cols) if n else pa.table(cols).slice(0, 0)
 
 
@@ -1162,7 +1099,7 @@ def simhash_bucket_pairs(group: pa.Table, *, max_hamming: int = 3
 
 
 def simhash_neardup_pairs(ds, *, max_hamming: int = 3, bands: int = 4,
-                          concurrency=None, pair_dedup="shuffle"):
+                          pair_dedup="shuffle"):
     """SimHash near-dup pipeline over a documents Dataset:
     simhash → bit-band explode → groupby(band) → within-bucket Hamming
     → distinct (doc_a, doc_b, hamming). Exact for
@@ -1174,9 +1111,6 @@ def simhash_neardup_pairs(ds, *, max_hamming: int = 3, bands: int = 4,
     on near-identical-boilerplate corpora can be corpus-sized;
     ``"local"`` coalesces into one block (small outputs only)."""
     import functools
-    from ..state.sizing import default_pool_size
-    if concurrency is None:
-        concurrency = default_pool_size()
     # one ds.count() (metadata-fast for parquet reads) serves both the
     # local-path ceiling and the bucket sizing below
     n_docs = ds.count()
@@ -1187,20 +1121,20 @@ def simhash_neardup_pairs(ds, *, max_hamming: int = 3, bands: int = 4,
             f"pair_dedup='local' is a small-N shortcut; corpus has "
             f"{n_docs} docs > ceiling {LOCAL_PATH_MAX_DOCS}. Use "
             f"pair_dedup='shuffle'.")
-    del concurrency        # accepted for API compat; simhash_batch is
-    #                        a stateless task stage, no pool to size
     # coarse-bucket count from the corpus size so per-reducer input
     # tracks ~100k band rows at ANY corpus size — a fixed bucket count
     # would make the per-task working set O(N*bands/buckets), unbounded
-    num_buckets = _band_bucket_count(n_docs * bands, None)
+    num_buckets = partitions_for(n_docs * bands, 100_000, floor=64,
+                                 cap=1 << 20)
     sh = ds.map_batches(simhash_batch, batch_format="pyarrow")
     bandrows = sh.map_batches(
         functools.partial(simhash_bands, bands=bands,
                           num_buckets=num_buckets),
         batch_format="pyarrow")
-    pairs = bandrows.groupby("bucket").map_groups(
+    pairs = exchange(
+        bandrows,
         functools.partial(simhash_bucket_pairs, max_hamming=max_hamming),
-        batch_format="pyarrow")
+        num_partitions=partitions_for(n_docs, 10_000), n_rows=n_docs)
     if pair_dedup == "shuffle":
         # hamming is pair-determined → keying on all 3 is exact distinct
         return _distinct_pairs(pairs, ("hamming",))

@@ -9,7 +9,7 @@ node takes the min of its label and its neighbors' labels; at
 convergence label(v) = min node id of v's component.
 
 Scale shape: one round = two bucketed co-group shuffles (the same
-union + groupby(hash % B) pattern as stages/dedup.py's signature
+union + ``state.exchange`` pattern as stages/dedup.py's signature
 attach — no ``Dataset.join``), both exchanging only (int64, int64)
 rows.  Rounds needed = graph diameter; near-dup graphs built with the
 star-linked hot-bucket policy (dedup.py) have tiny diameters by
@@ -26,12 +26,7 @@ import functools
 import numpy as np
 import pyarrow as pa
 
-_MIX = np.uint64(0x9E3779B97F4A7C15)
-
-
-def _bucket(ids: np.ndarray, num_buckets: int) -> np.ndarray:
-    return ((ids.astype(np.uint64) * _MIX)
-            % np.uint64(num_buckets)).astype(np.int64)
+from ..state.exchange import exchange, key_buckets
 
 
 def _sym_edges(batch: pa.Table) -> pa.Table:
@@ -49,7 +44,7 @@ def _label_rows(batch: pa.Table, *, num_buckets: int) -> pa.Table:
     ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
     n = len(batch)
     return pa.table({
-        "bucket": pa.array(_bucket(ids, num_buckets), pa.int64()),
+        "bucket": pa.array(key_buckets(ids, num_buckets=num_buckets)),
         "key": batch.column("doc_id").cast(pa.int64()),
         "other": pa.nulls(n, pa.int64()),
         "src": pa.array(np.zeros(n, dtype=np.int8)),
@@ -63,7 +58,7 @@ def _edge_rows(batch: pa.Table, *, num_buckets: int) -> pa.Table:
     nbr = batch.column("nbr").to_numpy(zero_copy_only=False)
     n = len(batch)
     return pa.table({
-        "bucket": pa.array(_bucket(nbr, num_buckets), pa.int64()),
+        "bucket": pa.array(key_buckets(nbr, num_buckets=num_buckets)),
         "key": batch.column("nbr").cast(pa.int64()),
         "other": batch.column("node").cast(pa.int64()),
         "src": pa.array(np.ones(n, dtype=np.int8)),
@@ -94,23 +89,16 @@ def _attach_nbr_label(group: pa.Table) -> pa.Table:
     })
 
 
-def _msg_rows(batch: pa.Table, *, num_buckets: int) -> pa.Table:
-    ids = batch.column("node").to_numpy(zero_copy_only=False)
+def _min_label_rows(batch: pa.Table, *, id_col: str, own: int,
+                    num_buckets: int) -> pa.Table:
+    """(id_col, label) → co-group 2 rows keyed by the node id: message
+    rows (own=0) and the node's own label (own=1, the anchor)."""
+    ids = batch.column(id_col).to_numpy(zero_copy_only=False)
     return pa.table({
-        "bucket": pa.array(_bucket(ids, num_buckets), pa.int64()),
-        "doc_id": batch.column("node").cast(pa.int64()),
+        "bucket": pa.array(key_buckets(ids, num_buckets=num_buckets)),
+        "doc_id": batch.column(id_col).cast(pa.int64()),
         "label": batch.column("label").cast(pa.int64()),
-        "own": pa.array(np.zeros(len(batch), dtype=np.int8)),
-    })
-
-
-def _own_label_rows(batch: pa.Table, *, num_buckets: int) -> pa.Table:
-    ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
-    return pa.table({
-        "bucket": pa.array(_bucket(ids, num_buckets), pa.int64()),
-        "doc_id": batch.column("doc_id").cast(pa.int64()),
-        "label": batch.column("label").cast(pa.int64()),
-        "own": pa.array(np.ones(len(batch), dtype=np.int8)),
+        "own": pa.array(np.full(len(batch), own, dtype=np.int8)),
     })
 
 
@@ -300,19 +288,18 @@ def connected_components(pairs_ds, nodes_ds, *, num_partitions: int = 16,
         edge_rows = edges.map_batches(
             functools.partial(_edge_rows, num_buckets=num_partitions),
             batch_format="pyarrow")
-        msgs = lab_rows.union(edge_rows).groupby(
-            "bucket", num_partitions=num_partitions).map_groups(
-            _attach_nbr_label, batch_format="pyarrow")
+        msgs = exchange(lab_rows.union(edge_rows), _attach_nbr_label,
+                        num_partitions=num_partitions)
         all_rows = msgs.map_batches(
-            functools.partial(_msg_rows, num_buckets=num_partitions),
+            functools.partial(_min_label_rows, id_col="node", own=0,
+                              num_buckets=num_partitions),
             batch_format="pyarrow").union(
             ray.data.from_arrow_refs(labels_refs).map_batches(
-                functools.partial(_own_label_rows,
+                functools.partial(_min_label_rows, id_col="doc_id", own=1,
                                   num_buckets=num_partitions),
                 batch_format="pyarrow"))
-        labels_refs = all_rows.groupby(
-            "bucket", num_partitions=num_partitions).map_groups(
-            _min_label_group, batch_format="pyarrow") \
+        labels_refs = exchange(all_rows, _min_label_group,
+                               num_partitions=num_partitions) \
             .repartition(num_partitions).to_arrow_refs()
         cur = label_sum(labels_refs)
         if cur == prev_sum:

@@ -39,27 +39,24 @@ import os
 import numpy as np
 import pyarrow as pa
 
+from ..state.exchange import exchange, partitions_for
 from .dedup import (
-    _attach_a_group, _attach_b_group, _band_bucket_count,
-    _candidate_id_filter, _cogroup_pair_rows_a, _cogroup_sig_rows,
-    _distinct_pairs, _rekey_by_other, bucket_candidate_ids,
-    bucket_candidate_pairs, lsh_bands, minhash_signatures,
+    _attach_a_group, _attach_b_group, _candidate_id_filter,
+    _cogroup_sig_rows, _cogroup_verify, _distinct_pairs,
+    bucket_candidate_ids, bucket_candidate_pairs, lsh_bands,
+    minhash_signatures,
 )
 
 _PARAMS_FILE = "_index_params.json"
 
 
 def write_signature_index(ds, index_dir: str, *, num_perm: int = 128,
-                          shingle_words: int = 3, seed: int = 42,
-                          concurrency=None) -> dict:
+                          shingle_words: int = 3, seed: int = 42) -> dict:
     """documents Dataset → parquet signature index at ``index_dir``
     (columns: doc_id, signature) + a params sidecar that
     ``minhash_lsh_pairs_incremental`` validates against — a signature
     computed with different perms/shingles/seed is not comparable, so
     a mismatch must fail loudly, not degrade recall silently."""
-    del concurrency      # accepted for API compat; the signature
-    #                      stage is a stateless task pool (dedup.py:
-    #                      _cached_hasher), no actor pool to size
     sigs = ds.map_batches(
         functools.partial(minhash_signatures, num_perm=num_perm,
                           shingle_words=shingle_words, seed=seed),
@@ -77,8 +74,7 @@ def read_index_params(index_dir: str) -> dict:
         return json.load(f)
 
 
-def append_signature_index(ds, index_dir: str, *,
-                           concurrency=None) -> dict:
+def append_signature_index(ds, index_dir: str) -> dict:
     """Accrete a new shard's signatures into an EXISTING index — the
     ingest loop's commit step after the shard has been deduped against
     the corpus.  Hash params are read from the sidecar (never passed
@@ -88,7 +84,6 @@ def append_signature_index(ds, index_dir: str, *,
     data, which at 100 TB is the difference between appending ~1-2%
     and rewriting everything)."""
     params = read_index_params(index_dir)
-    del concurrency      # API compat; stateless task stage
     sigs = ds.map_batches(
         functools.partial(minhash_signatures,
                           num_perm=params["num_perm"],
@@ -146,8 +141,10 @@ def _newwins_sig_dedupe(group: pa.Table) -> pa.Table:
     return pa.concat_tables([sig_rows, rest])
 
 
-def _attach_a_group_newwins(group: pa.Table) -> pa.Table:
-    return _attach_a_group(_newwins_sig_dedupe(group))
+def _attach_a_group_newwins(group: pa.Table, *, num_buckets: int
+                            ) -> pa.Table:
+    return _attach_a_group(_newwins_sig_dedupe(group),
+                           num_buckets=num_buckets)
 
 
 def _attach_b_group_newwins(group: pa.Table, *, threshold: float
@@ -159,7 +156,6 @@ def _attach_b_group_newwins(group: pa.Table, *, threshold: float
 def minhash_lsh_pairs_incremental(new_ds, index_dir: str, *,
                                   bands: int = 16, rows: int = 8,
                                   threshold: float = 0.5,
-                                  concurrency=None,
                                   num_partitions: int | None = None,
                                   band_exchange: str = "auto",
                                   auto_signatures_max_docs: int = 100_000,
@@ -198,7 +194,6 @@ def minhash_lsh_pairs_incremental(new_ds, index_dir: str, *,
     idx_files = list_input_files(index_dir)   # skips the _params sidecar
     idx_sigs_plain = read_parquet_clean(
         idx_files, columns=["doc_id", "signature"])
-    del concurrency      # API compat; stateless task stage
     new_sigs_plain = new_ds.map_batches(
         functools.partial(minhash_signatures,
                           num_perm=params["num_perm"],
@@ -228,15 +223,16 @@ def minhash_lsh_pairs_incremental(new_ds, index_dir: str, *,
                              if n_total <= auto_signatures_max_docs
                              else "ids")
         if num_partitions is None:
-            num_partitions = max(8, min(65536, -(-n_total // 10_000)))
+            num_partitions = partitions_for(n_total, 10_000)
     carry = band_exchange == "signatures"
     if not carry:
         # ids plan consumes the new signatures twice (band rows +
         # verify); materialize block-level so the stage runs once
         new_sigs_plain = new_sigs_plain.materialize()
 
-    num_buckets = _band_bucket_count(
-        n_total * bands if n_total is not None else None, num_partitions)
+    num_buckets = (max(64, 8 * num_partitions) if n_total is None else
+                   partitions_for(n_total * bands, 100_000, floor=64,
+                                  cap=1 << 20))
 
     def bands_flagged(batch: pa.Table, *, is_new: int) -> pa.Table:
         rows_t = lsh_bands(batch, bands=bands, rows=rows,
@@ -252,21 +248,21 @@ def minhash_lsh_pairs_incremental(new_ds, index_dir: str, *,
             functools.partial(bands_flagged, is_new=0),
             batch_format="pyarrow"))
     if carry:
-        pairs = bandrows.groupby(
-            "bucket", num_partitions=num_partitions).map_groups(
+        pairs = exchange(
+            bandrows,
             functools.partial(bucket_candidate_pairs_incremental,
                               threshold=threshold),
-            batch_format="pyarrow")
+            num_partitions=num_partitions, n_rows=n_total)
         return _distinct_pairs(pairs, ("jaccard_est_milli",))
 
     # ids plan: narrow candidate generation + the main path's
-    # co-group verification (dedup.py:595-627) over new ∪ index sigs.
+    # co-group verification (dedup._cogroup_verify) over new ∪ index
+    # sigs.
     # Sig rows carry a new/index flag in their unused ``other`` slot so
     # the attach stages can keep the NEW signature when a re-indexed
     # doc_id appears on both sides (see _newwins_sig_dedupe).
-    cand = bandrows.groupby(
-        "bucket", num_partitions=num_partitions).map_groups(
-        bucket_candidate_ids_incremental, batch_format="pyarrow")
+    cand = exchange(bandrows, bucket_candidate_ids_incremental,
+                    num_partitions=num_partitions, n_rows=n_total)
     # cost-gated semi-join: only candidates' signatures need to ride
     # the two attach exchanges (dedup._candidate_id_filter) — applied
     # to BOTH sides, which for the index means most of its parquet
@@ -290,18 +286,8 @@ def minhash_lsh_pairs_incremental(new_ds, index_dir: str, *,
         batch_format="pyarrow").union(idx_sigs_plain.map_batches(
             functools.partial(sig_rows_flagged, is_new=0),
             batch_format="pyarrow"))
-    pair_rows = cand.map_batches(
-        functools.partial(_cogroup_pair_rows_a,
-                          num_buckets=num_partitions,
-                          sig_width=params["num_perm"] * 8),
-        batch_format="pyarrow")
-    with_a = sig_rows.union(pair_rows).groupby(
-        "bucket", num_partitions=num_partitions).map_groups(
-        _attach_a_group_newwins, batch_format="pyarrow")
-    stage2 = with_a.map_batches(
-        functools.partial(_rekey_by_other, num_buckets=num_partitions),
-        batch_format="pyarrow")
-    return sig_rows.union(stage2).groupby(
-        "bucket", num_partitions=num_partitions).map_groups(
-        functools.partial(_attach_b_group_newwins, threshold=threshold),
-        batch_format="pyarrow")
+    return _cogroup_verify(sig_rows, cand, num_partitions=num_partitions,
+                           sig_width=params["num_perm"] * 8,
+                           threshold=threshold,
+                           attach_a=_attach_a_group_newwins,
+                           attach_b=_attach_b_group_newwins)

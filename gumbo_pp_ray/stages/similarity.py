@@ -108,15 +108,13 @@ def _topk_reduce_factory(k: int, exclude_self: bool):
     return reduce_group
 
 
-def ann_topk(ds, queries: dict, *, k: int = 10, exclude_self: bool = True,
-             concurrency=None):
+def ann_topk(ds, queries: dict, *, k: int = 10, exclude_self: bool = True):
     """Brute-force exact top-k: Dataset(vec_id, embedding) + broadcast
     queries {"ids": [...], "matrix": ndarray} → (query_id,
     neighbor_id, rank)."""
     import functools
 
     import ray
-    del concurrency        # API compat; stateless task stage now
     ref = ray.put(queries)
     cand = ds.map_batches(
         functools.partial(brute_force_topk_batch, queries_ref=ref,
@@ -270,14 +268,12 @@ def neardup_pairs_batch(batch: pa.Table, *, corpus_ref,
     })
 
 
-def embedding_neardup_pairs(ds, corpus: dict, *, threshold: float = 0.5,
-                            concurrency=None):
+def embedding_neardup_pairs(ds, corpus: dict, *, threshold: float = 0.5):
     """Dataset(vec_id, embedding) + broadcast {"ids", "matrix"} →
     exact cosine near-dup pairs (vec_a, vec_b)."""
     import functools
 
     import ray
-    del concurrency        # API compat; stateless task stage now
     payload = {"ids": np.asarray(corpus["ids"], dtype=np.int64),
                "matrix": _normalize(np.asarray(corpus["matrix"]))}
     ref = ray.put(payload)
@@ -494,7 +490,7 @@ def knn_graph_score_batch(batch: pa.Table, *, corpus_ref,
     return _row_topk_table(sims, ids, corpus_ids, k)
 
 
-def knn_graph(ds, corpus: dict, *, k: int = 5, concurrency=None):
+def knn_graph(ds, corpus: dict, *, k: int = 5):
     """Exact k-nearest-neighbor graph (every corpus vector is a
     query): Dataset(vec_id, embedding) + broadcast {"ids", "matrix"}
     → (vec_id, neighbor_id, rank), rank 1..k by (-cosine,
@@ -509,7 +505,6 @@ def knn_graph(ds, corpus: dict, *, k: int = 5, concurrency=None):
     import functools
 
     import ray
-    del concurrency        # API compat; stateless task stage now
     payload = {"ids": np.asarray(corpus["ids"], dtype=np.int64),
                "matrix": _normalize(np.asarray(corpus["matrix"]))}
     ref = ray.put(payload)

@@ -22,15 +22,15 @@ driver-side, all per-bucket work vectorized:
    exchange cost of substring dedup (the centralized original pays a
    corpus-sized suffix array instead).  The full 128-bit key keeps
    false-collision removals negligible even at 10^12 grams.
-2. **bucket reduce** (groupby(bucket).map_groups, bucket =
-   first-8-bytes-of-key % num_partitions): per bucket, ONE Arrow
+2. **bucket reduce** (``state.exchange``, bucket = the gram key's
+   digest bytes): per bucket, ONE Arrow
    sort by (gram_key, doc_id, pos) + a shifted-equality mask finds
    every non-first occurrence — work linear in bucket size, so hot
    grams (boilerplate phrases) cost their occurrence count, not a
    quadratic blowup.  Covered positions are exploded with numpy
    repeat/tile and deduplicated per bucket before the exchange.
 3. **reassembly co-group** (union tagged doc + removal rows →
-   groupby(doc bucket).map_groups): rebuild each doc skipping its
+   exchange by doc bucket): rebuild each doc skipping its
    removed positions (string work is per-doc by nature; the removal
    sets are materialized vectorized).
 
@@ -46,6 +46,8 @@ import hashlib
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from ..state.exchange import digest_buckets, exchange, key_buckets
 
 _EMPTY_REMOVALS = pa.table({
     "doc_id": pa.array([], pa.int64()),
@@ -77,11 +79,10 @@ def _gram_occurrences(batch: pa.Table, *, k: int,
             keys.append(hashlib.md5(g.encode("utf-8")).digest())
             docs.append(did)
             poss.append(i)
-    buckets = [int.from_bytes(b[:8], "little") % num_partitions
-               for b in keys]
+    gram_key = pa.array(keys, pa.binary(16))
     return pa.table({
-        "bucket": pa.array(buckets, pa.int64()),
-        "gram_key": pa.array(keys, pa.binary(16)),
+        "bucket": pa.array(digest_buckets(gram_key, num_partitions)),
+        "gram_key": gram_key,
         "doc_id": pa.array(docs, pa.int64()),
         "pos": pa.array(poss, pa.int64()),
     })
@@ -234,10 +235,8 @@ def substring_removals(ds, *, k: int = 8, num_partitions: int = 16):
         functools.partial(_gram_occurrences, k=k,
                           num_partitions=num_partitions),
         batch_format="pyarrow")
-    return grams.groupby(
-        "bucket", num_partitions=num_partitions).map_groups(
-        functools.partial(_bucket_removals, k=k),
-        batch_format="pyarrow")
+    return exchange(grams, functools.partial(_bucket_removals, k=k),
+                    num_partitions=num_partitions)
 
 
 def substring_rebuild(ds, removals, *, plan: str = "auto",
@@ -290,14 +289,12 @@ def substring_rebuild(ds, removals, *, plan: str = "auto",
         })
 
     def add_doc_bucket(t: pa.Table) -> pa.Table:
-        b = (t.column("doc_id").to_numpy(zero_copy_only=False)
-             % num_partitions)
-        return t.append_column("dbucket", pa.array(b, pa.int64()))
+        return t.append_column("dbucket", pa.array(key_buckets(
+            t.column("doc_id"), num_buckets=num_partitions)))
 
     tagged = (ds.map_batches(tag_docs, batch_format="pyarrow")
               .union(removals.map_batches(tag_removals,
                                           batch_format="pyarrow"))
               .map_batches(add_doc_bucket, batch_format="pyarrow"))
-    return tagged.groupby(
-        "dbucket", num_partitions=num_partitions).map_groups(
-        _rebuild_docs, batch_format="pyarrow")
+    return exchange(tagged, _rebuild_docs, key="dbucket",
+                    num_partitions=num_partitions)

@@ -21,6 +21,8 @@ import zlib
 import numpy as np
 import pyarrow as pa
 
+from ..state.exchange import exchange, key_buckets
+
 
 def token_stats(batch: pa.Table) -> pa.Table:
     """Whitespace token counts (oracle-checkable).
@@ -492,15 +494,11 @@ def chunk_documents(batch: pa.Table, *, chunk_tokens: int = 128,
 
 # ------------------------------------------------- corpus line dedup
 
-_LINE_MIX = np.uint64(0x9E3779B97F4A7C15)
-
-
 def _line_rows(batch: pa.Table, *, tokens_per_line: int,
                num_buckets: int) -> pa.Table:
     """Docs → one row per derived line (consecutive
     ``tokens_per_line``-token groups of ``text.split()``), keyed by a
     line-hash bucket: (bucket, doc_id, line_idx, line)."""
-    import zlib as _z
     ids = batch.column("doc_id").to_pylist()
     texts = batch.column("text").to_pylist()
     out_id, out_idx, out_line = [], [], []
@@ -510,11 +508,8 @@ def _line_rows(batch: pa.Table, *, tokens_per_line: int,
             out_id.append(i)
             out_idx.append(j // tokens_per_line)
             out_line.append(" ".join(toks[j:j + tokens_per_line]))
-    bucket = np.array(
-        [_z.crc32(x.encode("utf-8")) % num_buckets for x in out_line],
-        dtype=np.int64)
     return pa.table({
-        "bucket": pa.array(bucket),
+        "bucket": pa.array(key_buckets(out_line, num_buckets=num_buckets)),
         "doc_id": pa.array(out_id, pa.int64()),
         "line_idx": pa.array(out_idx, pa.int64()),
         "line": pa.array(out_line, pa.string()),
@@ -553,9 +548,7 @@ def _mark_dup_lines(group: pa.Table, *, max_docs: int,
     run_id = np.cumsum(new_line) - 1
     kept = (nd <= max_docs)[run_id]
     return pa.table({
-        "bucket": pa.array(
-            ((ids.astype(np.uint64) * _LINE_MIX)
-             % np.uint64(num_buckets)).astype(np.int64)),
+        "bucket": pa.array(key_buckets(ids, num_buckets=num_buckets)),
         "doc_id": t.column("doc_id"),
         "line_idx": t.column("line_idx"),
         "line": line,
@@ -568,9 +561,7 @@ def _doc_anchor_rows_line(batch: pa.Table, *, num_buckets: int
     ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
     n = len(ids)
     return pa.table({
-        "bucket": pa.array(
-            ((ids.astype(np.uint64) * _LINE_MIX)
-             % np.uint64(num_buckets)).astype(np.int64)),
+        "bucket": pa.array(key_buckets(ids, num_buckets=num_buckets)),
         "doc_id": pa.array(ids.astype(np.int64)),
         "line_idx": pa.array(np.full(n, -1, dtype=np.int64)),
         "line": pa.array([""] * n, pa.string()),
@@ -640,15 +631,12 @@ def line_dedup(ds, *, tokens_per_line: int = 8, max_docs: int = 1,
         functools.partial(_line_rows, tokens_per_line=tokens_per_line,
                           num_buckets=num_partitions),
         batch_format="pyarrow")
-    marked = rows.groupby(
-        "bucket", num_partitions=num_partitions).map_groups(
-        functools.partial(_mark_dup_lines, max_docs=max_docs,
-                          num_buckets=num_partitions),
-        batch_format="pyarrow")
+    marked = exchange(rows, functools.partial(
+        _mark_dup_lines, max_docs=max_docs, num_buckets=num_partitions),
+        num_partitions=num_partitions)
     anchors = ds.select_columns(["doc_id"]).map_batches(
         functools.partial(_doc_anchor_rows_line,
                           num_buckets=num_partitions),
         batch_format="pyarrow")
-    return anchors.union(marked).groupby(
-        "bucket", num_partitions=num_partitions).map_groups(
-        _rebuild_docs_group, batch_format="pyarrow")
+    return exchange(anchors.union(marked), _rebuild_docs_group,
+                    num_partitions=num_partitions)

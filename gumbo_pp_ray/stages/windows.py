@@ -30,6 +30,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from ..state.exchange import exchange, key_buckets, partitions_for
+
 
 def _period_ids(batch: pa.Table, *, ts_col: str,
                 period_sec: int) -> np.ndarray:
@@ -150,11 +152,8 @@ def session_windows(ds, *, key: str = "user_id", gap_sec: int = 1800,
     if phase_sec is None:
         phase_sec = max(gap_sec * 16, 3600)
     if num_partitions is None:
-        # sort-based map_groups pays a fixed cost per partition; derive
-        # the count from data size (~100k events per partition — the
-        # same SHAPE as dedup.py's sizing, with a coarser divisor
-        # because session rows are narrow)
-        num_partitions = max(8, min(65536, -(-ds.count() // 100_000)))
+        # ~100k events per partition: session rows are narrow
+        num_partitions = partitions_for(ds.count(), 100_000)
     # phase 2 runs over SEGMENT rows (~sessions, orders of magnitude
     # fewer than events) — reusing the events-derived partition count
     # would pay the per-partition fixed sort cost hundreds of times
@@ -164,32 +163,29 @@ def session_windows(ds, *, key: str = "user_id", gap_sec: int = 1800,
     def add_cg_bucket(batch: pa.Table) -> pa.Table:
         # co-group key = hash(key, phase_bucket): a hot user's history
         # still splits across tasks by time bucket
-        df2 = batch.select([key, "phase_bucket"]).to_pandas()
-        h = pd.util.hash_pandas_object(df2, index=False).to_numpy()
-        return batch.append_column(
-            "cg_bucket", pa.array((h % num_partitions).astype(np.int64)))
+        return batch.append_column("cg_bucket", pa.array(key_buckets(
+            batch.column(key), batch.column("phase_bucket"),
+            num_buckets=num_partitions)))
 
     def add_sg_bucket(batch: pa.Table) -> pa.Table:
-        h = pd.util.hash_pandas_object(
-            batch.select([key]).to_pandas()[key], index=False).to_numpy()
-        return batch.append_column(
-            "sg_bucket", pa.array((h % p2_partitions).astype(np.int64)))
+        return batch.append_column("sg_bucket", pa.array(key_buckets(
+            batch.column(key), num_buckets=p2_partitions)))
 
     ds = ds.map_batches(
         functools.partial(_add_phase_bucket, phase_sec=phase_sec,
                           ts_col=ts_col),
         batch_format="pyarrow").map_batches(
         add_cg_bucket, batch_format="pyarrow")
-    segments = ds.groupby(
-        "cg_bucket", num_partitions=num_partitions).map_groups(
-        functools.partial(_segments_bucket, gap_sec=gap_sec, key=key,
-                          ts_col=ts_col),
+    segments = exchange(
+        ds, functools.partial(_segments_bucket, gap_sec=gap_sec, key=key,
+                              ts_col=ts_col),
+        key="cg_bucket", num_partitions=num_partitions,
         batch_format="pandas")
     segments = segments.map_batches(add_sg_bucket, batch_format="pyarrow")
-    return segments.groupby(
-        "sg_bucket", num_partitions=p2_partitions).map_groups(
-        functools.partial(_merge_segments_bucket, gap_sec=gap_sec,
-                          key=key),
+    return exchange(
+        segments, functools.partial(_merge_segments_bucket,
+                                    gap_sec=gap_sec, key=key),
+        key="sg_bucket", num_partitions=p2_partitions,
         batch_format="pandas")
 
 

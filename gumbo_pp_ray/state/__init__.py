@@ -1,4 +1,5 @@
-"""Shared-state helpers: broadcast lookups and pool sizing."""
+"""Shared-state helpers: broadcast lookups, pool sizing and the
+bucketed exchange (``state.exchange``)."""
 
 from .broadcast import broadcast, Broadcast
 from .sizing import default_pool_size, default_concurrency

@@ -54,14 +54,6 @@ def test_asof_semantics(ray_session):
     assert all(r["user_id"] in (7, 8) for r in out)
 
 
-def test_derive_num_buckets():
-    from gumbo_pp_ray.stages.asof import derive_num_buckets
-    assert derive_num_buckets(0) == 16
-    assert derive_num_buckets(25_000) == 16          # floor
-    assert derive_num_buckets(10_000_000) == 40      # scales with input
-    assert derive_num_buckets(10**12) == 65536       # cap
-
-
 def test_asof_auto_buckets(ray_session):
     # num_buckets=None derives from input counts and stays correct
     import ray.data

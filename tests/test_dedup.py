@@ -127,7 +127,7 @@ def test_minhash_lsh_finds_planted_pairs(ray_session, dup_corpus):
 
     table, planted = dup_corpus
     pairs = minhash_lsh_pairs(ray.data.from_arrow(table),
-                              threshold=0.5, concurrency=2).take_all()
+                              threshold=0.5).take_all()
     found = {(r["doc_a"], r["doc_b"]) for r in pairs}
     for a, b in planted:
         assert (a, b) in found, f"planted pair {(a, b)} missed"
@@ -154,8 +154,8 @@ def test_simhash_neardup_pipeline(ray_session):
     texts.append(" ".join(base))
     ids.append(40)
     t = pa.table({"doc_id": ids, "text": texts})
-    pairs = simhash_neardup_pairs(ray.data.from_arrow(t), max_hamming=3,
-                                  concurrency=2).take_all()
+    pairs = simhash_neardup_pairs(ray.data.from_arrow(t),
+                                  max_hamming=3).take_all()
     found = {(r["doc_a"], r["doc_b"]) for r in pairs}
     assert (5, 40) in found, found
     # no random pair should be within hamming 3
@@ -191,8 +191,8 @@ def test_minhash_hot_bucket_full_cluster_recall(ray_session):
     n = 600
     t = pa.table({"doc_id": list(range(n)),
                   "text": ["identical boilerplate page " * 20] * n})
-    pairs = minhash_lsh_pairs(ray.data.from_arrow(t), threshold=0.5,
-                              concurrency=2).take_all()
+    pairs = minhash_lsh_pairs(ray.data.from_arrow(t),
+                              threshold=0.5).take_all()
     covered = ({r["doc_a"] for r in pairs}
                | {r["doc_b"] for r in pairs})
     assert covered == set(range(n))
@@ -208,8 +208,8 @@ def test_minhash_no_candidates_empty_result(ray_session):
 
     texts = [" ".join(f"u{i}w{j}" for j in range(50)) for i in range(8)]
     t = pa.table({"doc_id": list(range(8)), "text": texts})
-    pairs = minhash_lsh_pairs(ray.data.from_arrow(t), threshold=0.5,
-                              concurrency=2).take_all()
+    pairs = minhash_lsh_pairs(ray.data.from_arrow(t),
+                              threshold=0.5).take_all()
     assert pairs == []
 
 
@@ -246,7 +246,6 @@ def test_minhash_band_exchange_modes_agree(ray_session, dup_corpus):
         ds = ray.data.from_arrow(table)
         return {(r["doc_a"], r["doc_b"], r["jaccard_est_milli"])
                 for r in minhash_lsh_pairs(ds, threshold=0.5,
-                                           concurrency=2,
                                            band_exchange=mode).take_all()}
     ids_mode = pairset("ids")
     sig_mode = pairset("signatures")
@@ -341,8 +340,9 @@ def test_lsh_bands_vectorized_alignment():
     """lsh_bands emits bands rows per doc in doc-major order with the
     doc's signature repeated on each (carry mode), identical band
     keys for identical signatures, distinct keys across bands for the
-    same chunk values, and bucket == band_key mod num_buckets."""
+    same chunk values, and bucket == the exchange bucket of band_key."""
     from gumbo_pp_ray.stages.dedup import lsh_bands
+    from gumbo_pp_ray.state.exchange import key_buckets
 
     sig_a = list(range(16))
     sig_b = list(range(16))          # identical -> same band keys
@@ -361,9 +361,8 @@ def test_lsh_bands_vectorized_alignment():
     sigs = out.column("signature").to_pylist()
     assert sigs[0] == sig_a and sigs[5] == sig_b and sigs[11] == sig_c
     buckets = out.column("bucket").to_pylist()
-    assert all(b == int(k % np.uint64(32))   # uint64 % py-int would
-               for k, b in zip(np.asarray(keys, dtype=np.int64)  # demote
-                               .astype(np.uint64), buckets))     # to f64
+    assert buckets == key_buckets(np.asarray(keys, dtype=np.int64),
+                                  num_buckets=32).tolist()
     # id-only mode drops the signature column, keeps alignment
     out2 = lsh_bands(t, bands=4, rows=4, carry_signature=False)
     assert out2.column_names == ["band_key", "doc_id"]
@@ -409,21 +408,3 @@ def test_lsh_bands_partial_signature_width():
     assert k[0:2] == k[2:4]                      # identical sigs agree
     with pytest.raises(ValueError, match="exceeds signature width"):
         lsh_bands(t, bands=4, rows=8)
-
-
-def test_hash_str_bucket_uniform():
-    """Bucketing md5-hex strings must reach EVERY bucket with near-
-    uniform load (the ASCII-fold regression left most buckets empty
-    and skewed per-reducer input up to ~129x)."""
-    import hashlib
-
-    from gumbo_pp_ray.stages.dedup import _hash_str_bucket
-
-    hs = pa.chunked_array([pa.array(
-        [hashlib.md5(str(i).encode()).hexdigest()
-         for i in range(20_000)])])
-    for nb in (64, 256):
-        b = _hash_str_bucket(hs, nb)
-        counts = np.bincount(b, minlength=nb)
-        assert (counts > 0).all()                # every bucket reachable
-        assert counts.max() / (20_000 / nb) < 1.5

@@ -25,7 +25,7 @@ def test_incremental_pairs_new_vs_index(ray_session, tmp_path):
     )
 
     idx = str(tmp_path / "sigidx")
-    write_signature_index(_mk_corpus(BASE), idx, concurrency=2)
+    write_signature_index(_mk_corpus(BASE), idx)
 
     # new shard: dup of base doc 3, dup of base doc 7, two mutual
     # new-new dups, and fresh unique docs
@@ -35,7 +35,7 @@ def test_incremental_pairs_new_vs_index(ray_session, tmp_path):
                  "totally unique new content nothing like anything"]
     pairs = minhash_lsh_pairs_incremental(
         _mk_corpus(new_texts, start_id=100), idx,
-        threshold=0.8, concurrency=2, num_partitions=4).to_pandas()
+        threshold=0.8, num_partitions=4).to_pandas()
     got = {tuple(r) for r in pairs[["doc_a", "doc_b"]].itertuples(
         index=False)}
     assert (3, 100) in got          # new-old
@@ -53,12 +53,10 @@ def test_incremental_param_mismatch_raises(ray_session, tmp_path):
     )
 
     idx = str(tmp_path / "sigidx2")
-    write_signature_index(_mk_corpus(BASE[:5]), idx, num_perm=32,
-                          concurrency=2)
+    write_signature_index(_mk_corpus(BASE[:5]), idx, num_perm=32)
     with pytest.raises(ValueError, match="num_perm"):
         minhash_lsh_pairs_incremental(
-            _mk_corpus(["x"], start_id=50), idx, bands=16, rows=8,
-            concurrency=2)
+            _mk_corpus(["x"], start_id=50), idx, bands=16, rows=8)
 
 
 def test_index_params_roundtrip(ray_session, tmp_path):
@@ -67,7 +65,7 @@ def test_index_params_roundtrip(ray_session, tmp_path):
     )
     idx = str(tmp_path / "sigidx3")
     p = write_signature_index(_mk_corpus(BASE[:3]), idx, num_perm=64,
-                              shingle_words=2, seed=7, concurrency=2)
+                              shingle_words=2, seed=7)
     assert read_index_params(idx) == p == {
         "num_perm": 64, "shingle_words": 2, "seed": 7}
 
@@ -84,7 +82,7 @@ def test_multi_increment_index_growth(ray_session, tmp_path):
     )
 
     idx = str(tmp_path / "sigidx_grow")
-    write_signature_index(_mk_corpus(BASE), idx, concurrency=2)
+    write_signature_index(_mk_corpus(BASE), idx)
     n_files_0 = len(list_input_files(idx))
     params_0 = read_index_params(idx)
 
@@ -92,12 +90,11 @@ def test_multi_increment_index_growth(ray_session, tmp_path):
     w1 = [BASE[5], "wave one fresh unique content alpha beta gamma"]
     pairs1 = minhash_lsh_pairs_incremental(
         _mk_corpus(w1, start_id=100), idx, threshold=0.8,
-        concurrency=2, num_partitions=4).to_pandas()
+        num_partitions=4).to_pandas()
     got1 = {tuple(r) for r in pairs1[["doc_a", "doc_b"]].itertuples(
         index=False)}
     assert (5, 100) in got1
-    append_signature_index(_mk_corpus(w1, start_id=100), idx,
-                           concurrency=2)
+    append_signature_index(_mk_corpus(w1, start_id=100), idx)
     assert len(list_input_files(idx)) > n_files_0     # accreted, not
     assert read_index_params(idx) == params_0         # rewritten
 
@@ -106,7 +103,7 @@ def test_multi_increment_index_growth(ray_session, tmp_path):
     w2 = [BASE[9], w1[1], "wave two brand new never seen text"]
     pairs2 = minhash_lsh_pairs_incremental(
         _mk_corpus(w2, start_id=200), idx, threshold=0.8,
-        concurrency=2, num_partitions=4).to_pandas()
+        num_partitions=4).to_pandas()
     got2 = {tuple(r) for r in pairs2[["doc_a", "doc_b"]].itertuples(
         index=False)}
     assert (9, 200) in got2          # vs generation 0
@@ -114,14 +111,13 @@ def test_multi_increment_index_growth(ray_session, tmp_path):
     # old-old suppression holds across generations: every pair has a
     # wave-2 member
     assert all(b >= 200 for _, b in got2)
-    append_signature_index(_mk_corpus(w2, start_id=200), idx,
-                           concurrency=2)
+    append_signature_index(_mk_corpus(w2, start_id=200), idx)
 
     # wave 3: dup of a wave-2 doc; index now spans three generations
     w3 = [w2[2]]
     pairs3 = minhash_lsh_pairs_incremental(
         _mk_corpus(w3, start_id=300), idx, threshold=0.8,
-        concurrency=2, num_partitions=4).to_pandas()
+        num_partitions=4).to_pandas()
     got3 = {tuple(r) for r in pairs3[["doc_a", "doc_b"]].itertuples(
         index=False)}
     assert (202, 300) in got3
@@ -138,7 +134,7 @@ def test_incremental_band_exchange_modes_agree(ray_session, tmp_path):
     )
 
     idx = str(tmp_path / "sigidx_modes")
-    write_signature_index(_mk_corpus(BASE), idx, concurrency=2)
+    write_signature_index(_mk_corpus(BASE), idx)
     new_texts = [BASE[3], BASE[11],
                  "entirely new duplicated payload shared by two docs y",
                  "entirely new duplicated payload shared by two docs y",
@@ -148,7 +144,7 @@ def test_incremental_band_exchange_modes_agree(ray_session, tmp_path):
     for mode in ("signatures", "ids"):
         df = minhash_lsh_pairs_incremental(
             _mk_corpus(new_texts, start_id=100), idx, threshold=0.8,
-            concurrency=2, num_partitions=4,
+            num_partitions=4,
             band_exchange=mode).to_pandas()
         results[mode] = {tuple(r) for r in df[
             ["doc_a", "doc_b", "jaccard_est_milli"]].itertuples(
@@ -167,10 +163,10 @@ def test_incremental_auto_gate_picks_ids_above_ceiling(ray_session,
     )
 
     idx = str(tmp_path / "sigidx_gate")
-    write_signature_index(_mk_corpus(BASE), idx, concurrency=2)
+    write_signature_index(_mk_corpus(BASE), idx)
     df = minhash_lsh_pairs_incremental(
         _mk_corpus([BASE[2], "fresh unique text qq"], start_id=100),
-        idx, threshold=0.8, concurrency=2,
+        idx, threshold=0.8,
         auto_signatures_max_docs=10).to_pandas()
     got = {tuple(r) for r in df[["doc_a", "doc_b"]].itertuples(
         index=False)}
@@ -185,7 +181,7 @@ def test_append_requires_existing_index(ray_session, tmp_path):
 
     with pytest.raises(FileNotFoundError):
         append_signature_index(_mk_corpus(["x"]),
-                               str(tmp_path / "nope"), concurrency=2)
+                               str(tmp_path / "nope"))
 
 
 def test_reindexed_doc_new_signature_wins(ray_session, tmp_path):
@@ -200,7 +196,7 @@ def test_reindexed_doc_new_signature_wins(ray_session, tmp_path):
     idx = str(tmp_path / "sigidx")
     # index: doc 5's OLD text is a dup of doc 3; docs 0..9 otherwise
     # unique
-    write_signature_index(_mk_corpus(BASE[:10]), idx, concurrency=2)
+    write_signature_index(_mk_corpus(BASE[:10]), idx)
 
     # new shard re-indexes doc 5 with COMPLETELY different text that
     # now duplicates new doc 100
@@ -214,7 +210,7 @@ def test_reindexed_doc_new_signature_wins(ray_session, tmp_path):
     results = {}
     for mode in ("signatures", "ids"):
         pairs = minhash_lsh_pairs_incremental(
-            new_ds, idx, threshold=0.8, concurrency=2,
+            new_ds, idx, threshold=0.8,
             num_partitions=4, band_exchange=mode).to_pandas()
         results[mode] = {tuple(r) for r in
                          pairs[["doc_a", "doc_b"]].itertuples(index=False)}

@@ -39,7 +39,7 @@ def test_brute_force_matches_numpy(ray_session, emb_table):
     q_ids = [0, 7, 42]
     queries = {"ids": q_ids, "matrix": m[q_ids]}
     ds = ray.data.from_arrow(table)
-    rows = ann_topk(ds, queries, k=10, concurrency=2).take_all()
+    rows = ann_topk(ds, queries, k=10).take_all()
     got = {}
     for r in rows:
         got.setdefault(r["query_id"], []).append((r["rank"], r["neighbor_id"]))
@@ -93,7 +93,7 @@ def test_embedding_neardup_pairs_exact(ray_session):
     })
     corpus = {"ids": list(range(50)), "matrix": base}
     out = embedding_neardup_pairs(ray.data.from_arrow(table), corpus,
-                                  threshold=0.95, concurrency=2).take_all()
+                                  threshold=0.95).take_all()
     pairs = {(r["vec_a"], r["vec_b"]) for r in out}
     assert (3, 10) in pairs and (20, 40) in pairs
     # exactness: matches the numpy reference at the same threshold
@@ -127,8 +127,7 @@ def test_ann_topk_ivf_recall(ray_session):
         return ray.data.from_arrow(t)
 
     exact = {(r["query_id"], r["neighbor_id"])
-             for r in ann_topk(ds(), queries, k=5,
-                               concurrency=2).take_all()}
+             for r in ann_topk(ds(), queries, k=5).take_all()}
     ivf = {(r["query_id"], r["neighbor_id"])
            for r in ann_topk_ivf(ds(), queries, dim=dim, k=5,
                                  n_clusters=8, n_probe=3,
@@ -261,7 +260,7 @@ def test_knn_graph_matches_numpy(ray_session, emb_table):
     table, m = emb_table
     corpus = {"ids": np.arange(len(m)), "matrix": m}
     ds = ray.data.from_arrow(table)
-    rows = knn_graph(ds, corpus, k=5, concurrency=2).take_all()
+    rows = knn_graph(ds, corpus, k=5).take_all()
     got = {}
     for r in rows:
         got.setdefault(r["vec_id"], []).append((r["rank"], r["neighbor_id"]))
@@ -283,7 +282,7 @@ def test_knn_graph_lsh_degenerate_equals_exact(ray_session, emb_table):
     corpus = {"ids": np.arange(len(m)), "matrix": m}
     ds = ray.data.from_arrow(table)
     exact = {(r["vec_id"], r["neighbor_id"], r["rank"])
-             for r in knn_graph(ds, corpus, k=5, concurrency=2).take_all()}
+             for r in knn_graph(ds, corpus, k=5).take_all()}
     lsh = {(r["vec_id"], r["neighbor_id"], r["rank"])
            for r in knn_graph_lsh(ds, dim=m.shape[1], k=5,
                                   n_planes=0).take_all()}
@@ -306,7 +305,7 @@ def test_knn_graph_lsh_recall_on_clustered_data(ray_session):
     ds = ray.data.from_arrow(t)
     corpus = {"ids": np.arange(len(pts)), "matrix": pts}
     exact = {(r["vec_id"], r["neighbor_id"])
-             for r in knn_graph(ds, corpus, k=3, concurrency=2).take_all()}
+             for r in knn_graph(ds, corpus, k=3).take_all()}
     approx = {(r["vec_id"], r["neighbor_id"])
               for r in knn_graph_lsh(ds, dim=32, k=3,
                                      n_planes=4).take_all()}
