@@ -193,6 +193,10 @@ class TextNode(Node):
 
     __slots__ = ("text", "start", "end")
 
+    # leaves share one empty child sequence, so a tree walk over
+    # ``_children`` needs no kind test
+    _children = ()
+
     def __init__(self, kind: int, text: str, start: int, end: int):
         self.kind = kind
         self.parent = None
@@ -203,3 +207,22 @@ class TextNode(Node):
 
     def __repr__(self):
         return f"<{KIND_NAMES[self.kind]} {self.text[:20]!r} @{self.start}:{self.end}>"
+
+
+def release(root: Node) -> None:
+    """Empty every child list under ``root``, ``root``'s own included.
+
+    A parsed tree is one big reference cycle (each child points at its
+    parent), so dropping it leaves the whole tree to the cyclic GC.
+    Cutting the parent → child edges lets reference counting free each
+    node as soon as the caller drops it.  Iterative (deep-tree safe);
+    the tree is unusable afterwards.
+    """
+    stack = [root]
+    pop = stack.pop
+    extend = stack.extend
+    while stack:
+        kids = pop()._children
+        if kids:
+            extend(kids)
+            kids.clear()

@@ -32,14 +32,8 @@ SURVEY.md §2.4 M21), and emits an ordered span sequence::
 
 from __future__ import annotations
 
-import re
-
-from .dom import (
-    CDATA, COMMENT, DOCUMENT, ELEMENT, TEMPLATE, TEXT, WHITESPACE, Node,
-)
+from .dom import TEXT, WHITESPACE, Element, Node, TextNode
 from . import select as match
-
-_WS_RUN = re.compile(r"\s+")
 
 # tags whose entire subtree is boilerplate
 STRIP_TAGS = frozenset((
@@ -136,6 +130,11 @@ class ExtractProfile:
 DEFAULT_PROFILE = ExtractProfile()
 
 
+# stack marker: a plain block ends here (a kinded block's end is marked
+# by its kind string)
+_BLOCK_END = object()
+
+
 def extract_spans(doc: Node, profile: ExtractProfile = DEFAULT_PROFILE):
     """Extract the ordered main-content span sequence from a parsed
     document. Returns ``list[(kind, text, media_ref, offset)]``.
@@ -150,12 +149,16 @@ def extract_spans(doc: Node, profile: ExtractProfile = DEFAULT_PROFILE):
 
     spans: list[tuple[str, str, str, int]] = []
     buf: list[str] = []
-    # stack entries: ("enter", node) / ("flush", kind) markers
-    stack: list = [("n", c) for c in reversed(doc.children)]
+    # stack entries: nodes to enter, a kind string closing a kinded
+    # block, or _BLOCK_END closing a plain block
+    stack: list = list(reversed(doc.children))
+    pop = stack.pop
+    push = stack.append
+    extend = stack.extend
 
-    def flush(kind: str = "text"):
-        if not buf:
-            return
+    def flush(kind: str):
+        # callers test ``buf`` first: most block edges have nothing
+        # to flush, and the test is cheaper than the call
         txt = "".join(buf)
         buf.clear()
         if normalize:
@@ -173,57 +176,57 @@ def extract_spans(doc: Node, profile: ExtractProfile = DEFAULT_PROFILE):
     kind_stack = ["text"]
 
     while stack:
-        op, payload = stack.pop()
-        if op == "f":                       # close a kinded block
-            flush(payload)
-            kind_stack.pop()
-            continue
-        if op == "b":                       # plain block boundary
-            flush(kind_stack[-1])
-            continue
-        node = payload
-        k = node.kind
-        if k == TEXT:
-            buf.append(node.text)
-            continue
-        if k == WHITESPACE:
-            if buf:                         # inter-block whitespace dropped
+        node = pop()
+        cls = node.__class__
+        if cls is TextNode:
+            k = node.kind
+            if k == TEXT:
+                buf.append(node.text)
+            elif k == WHITESPACE and buf:   # inter-block whitespace dropped
                 buf.append(node.text if not normalize else " ")
+            continue                        # comments/CDATA: never content
+        if cls is not Element:
+            if cls is str:                  # close a kinded block
+                if buf:
+                    flush(node)
+                kind_stack.pop()
+            elif buf:                       # _BLOCK_END
+                flush(kind_stack[-1])
             continue
-        if k in (COMMENT, CDATA):
-            continue                        # never content (see docstring)
-        # element
-        tag = node.tag
         if is_stripped(node):
             continue                        # subtree never entered
+        tag = node.tag
         if tag in MEDIA_TAGS:
-            flush(kind_stack[-1])
-            ref = node.attr("src") or node.attr("data-src") or ""
+            if buf:
+                flush(kind_stack[-1])
+            attrs = node.attrs
+            ref = attrs.get("src") or attrs.get("data-src") or ""
             spans.append(("media", "", ref, len(spans)))
             continue
-        if emit_links and tag == "a" and node.has_attr("href"):
-            flush(kind_stack[-1])
+        if emit_links and tag == "a" and "href" in node.attrs:
+            if buf:
+                flush(kind_stack[-1])
             from .text import content_text
             txt = content_text(node, normalize_ws=normalize,
                                include_comments=False)
-            spans.append(("link", txt, node.attr("href", ""), len(spans)))
+            spans.append(("link", txt, node.attrs["href"], len(spans)))
             continue                        # subtree consumed by content_text
         kinded = kind_by_tag.get(tag)
         if kinded is not None:
-            flush(kind_stack[-1])
+            if buf:
+                flush(kind_stack[-1])
             kind_stack.append(kinded)
-            stack.append(("f", kinded))
-            stack.extend(("n", c) for c in reversed(node.children))
-            continue
-        if tag in _BLOCK_TAGS:
-            flush(kind_stack[-1])
-            stack.append(("b", None))
-            stack.extend(("n", c) for c in reversed(node.children))
-            continue
-        # inline element: children flow into the current block
-        stack.extend(("n", c) for c in reversed(node.children))
+            push(kinded)
+        elif tag in _BLOCK_TAGS:
+            if buf:
+                flush(kind_stack[-1])
+            push(_BLOCK_END)
+        # inline elements push no marker: children flow into the
+        # current block
+        extend(node._children[::-1])
 
-    flush(kind_stack[-1])
+    if buf:
+        flush(kind_stack[-1])
     if profile.prune_links:
         return prune_link_runs(spans)
     return spans

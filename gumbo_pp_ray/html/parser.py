@@ -972,7 +972,9 @@ def parse(html: str, options: ParseOptions | None = None) -> Document:
                     tb.comment(html[lt + 2: gt], lt, gt + 1)   # bogus
                     tb.error(lt, "malformed-end-tag")
                 pos = gt + 1
-        elif c.isalpha():
+        elif c.isascii() and c.isalpha():
+            # a tag name starts with an ASCII letter (as in the tag
+            # regexes): '<é' or '<中' is text, like '<2'
             m = _START_TAG_RE.match(html, lt)
             if not m:
                 m = _START_TAG_RELAXED_RE.match(html, lt)

@@ -17,9 +17,13 @@ actor, so multi-MB HTML strings never cross an object-store boundary.
 
 from __future__ import annotations
 
+import hashlib
+import struct
+
 import numpy as np
 import pyarrow as pa
 
+from ..html.dom import release
 from ..html.extract import DEFAULT_PROFILE, ExtractProfile, extract_spans
 from ..html.parser import parse
 
@@ -53,8 +57,27 @@ class ExtractSpans:
         self._cache: dict = {}
         self.cache_hits = 0
 
+    def _extract(self, seg: list[str]):
+        """Parse + extract one document's payload → ``(kinds, texts,
+        media_refs, parse_errors)``; a payload of more than
+        ``chunk_spans`` input spans is parsed one slice at a time."""
+        chunk = self.chunk_spans
+        step = chunk if (chunk and len(seg) > chunk) else len(seg) or 1
+        spans: list = []
+        errs = 0
+        for j in range(0, len(seg), step):
+            doc = parse("".join(seg[j:j + step]))
+            errs += doc.parse_errors
+            spans += extract_spans(doc, self.profile)
+            # cut the tree's parent/child cycles so it is freed by
+            # refcount here, not later by the cyclic GC
+            release(doc)
+        if not spans:
+            return (), (), (), errs
+        kinds, texts, refs, _offsets = zip(*spans)
+        return kinds, texts, refs, errs
+
     def __call__(self, batch: pa.Table) -> pa.Table:
-        profile = self.profile
         max_bytes = self.max_doc_bytes
         chunk = self.chunk_spans
         doc_ids = batch.column("doc_id").to_pylist()
@@ -71,6 +94,15 @@ class ExtractSpans:
         texts = col.values.field("text").to_pylist()
         offs = col.values.field("offset").to_numpy(zero_copy_only=False)
         row_offsets = col.offsets.to_numpy(zero_copy_only=False)
+        # rows whose span offsets are out of order, found once per
+        # batch: a descent between neighbours (``not <=``, so a null
+        # offset counts too) that is not at a row boundary
+        base, end = int(row_offsets[0]), int(row_offsets[-1])
+        o = offs[base:end]
+        desc = np.flatnonzero(~(o[:-1] <= o[1:])) + (base + 1)
+        desc = desc[~np.isin(desc, row_offsets)]
+        unsorted = set((np.searchsorted(row_offsets, desc, side="right")
+                        - 1).tolist())
 
         # flat columnar output accumulators — the spans list<struct>
         # column is assembled from four flat arrays + list offsets
@@ -81,24 +113,25 @@ class ExtractSpans:
         f_text: list[str] = []
         f_ref: list[str] = []
         statuses, n_errs, n_spans, n_bytes = [], [], [], []
-        span_counts = np.empty(len(doc_ids), dtype=np.int64)
 
+        def quarantine(status: str, nbytes: int):
+            statuses.append(status)
+            n_errs.append(-1)
+            n_spans.append(0)
+            n_bytes.append(nbytes)
+
+        cache = self._cache
         for i in range(len(doc_ids)):
             if ierr is not None and ierr[i] is not None:
-                span_counts[i] = 0
-                statuses.append("error")
-                n_errs.append(-1)
-                n_spans.append(0)
-                n_bytes.append(0)
+                quarantine("error", 0)
                 continue
             lo, hi = int(row_offsets[i]), int(row_offsets[i + 1])
-            o = offs[lo:hi]
-            if len(o) > 1 and not (o[:-1] <= o[1:]).all():
-                order = np.argsort(o, kind="stable")  # rare: enforce order
+            if i in unsorted:                 # rare: enforce order
+                order = np.argsort(offs[lo:hi], kind="stable")
                 seg = [texts[lo + j] for j in order]
             else:
                 seg = texts[lo:hi]
-            if any(s is None for s in seg):
+            if None in seg:
                 # corrupt shard: a null span text must quarantine the
                 # ROW, never crash the batch (the documented contract)
                 seg = [s if s is not None else "" for s in seg]
@@ -106,87 +139,58 @@ class ExtractSpans:
             # code points, so only docs within 4x of the cap pay the
             # exact byte count — the byte-bomb guard must measure
             # BYTES or a 250M-char CJK page slips under a 256MB cap
-            total_bytes = sum(len(s) for s in seg)
+            total_bytes = sum(map(len, seg))
             if max_bytes is not None and total_bytes * 4 > max_bytes:
                 total_bytes = sum(
                     len(s.encode("utf-8", "surrogatepass"))
                     for s in seg)
             if max_bytes is not None and total_bytes > max_bytes:
-                span_counts[i] = 0
-                statuses.append("oversize")
-                n_errs.append(-1)
-                n_spans.append(0)
-                n_bytes.append(total_bytes)
+                quarantine("oversize", total_bytes)
                 continue
-            before = len(f_kind)
             try:
-                ckey = None
+                ckey = hit = None
                 # only payloads the cache can STORE (< 1 MiB) are
                 # worth keying — hashing a 100 MB doc for a
                 # guaranteed miss costs ~100 ms in the hot actor
                 if self._cache_size and total_bytes < 1 << 20:
-                    import hashlib
-                    import struct
                     # the key folds in the span STRUCTURE (count, each
-                    # segment's byte length) and the chunking step, not
+                    # segment's length) and the chunking step, not
                     # just the concatenated text: two payloads with the
                     # same concatenation but different span boundaries
                     # can parse into different fragment groupings when
                     # chunk_spans slices them
-                    h = hashlib.md5()
-                    h.update(struct.pack("<qq", len(seg), chunk or -1))
-                    for s in seg:
-                        b = s.encode("utf-8", "surrogatepass")
-                        h.update(struct.pack("<q", len(b)))
-                        h.update(b)
+                    h = hashlib.md5(struct.pack(
+                        f"<qq{len(seg)}q", len(seg), chunk or -1,
+                        *map(len, seg)))
+                    h.update("".join(seg).encode("utf-8", "surrogatepass"))
                     ckey = h.digest()
-                    hit = self._cache.get(ckey)
-                    if hit is not None:
-                        ck, ct, cm, errs = hit
-                        f_kind.extend(ck)
-                        f_text.extend(ct)
-                        f_ref.extend(cm)
-                        self.cache_hits += 1
-                        span_counts[i] = len(ck)
-                        statuses.append("ok")
-                        n_errs.append(errs)
-                        n_spans.append(len(ck))
-                        n_bytes.append(total_bytes)
-                        continue
-                errs = 0
-                step = chunk if (chunk and len(seg) > chunk) else len(seg) or 1
-                for j in range(0, len(seg), step):
-                    doc = parse("".join(seg[j:j + step]))
-                    errs += doc.parse_errors
-                    for k, t, m, _o in extract_spans(doc, profile):
-                        f_kind.append(k)
-                        f_text.append(t)
-                        f_ref.append(m)
-                count = len(f_kind) - before
-                span_counts[i] = count
-                statuses.append("ok")
-                n_errs.append(errs)
-                n_spans.append(count)
-                if ckey is not None and total_bytes < 1 << 20:
-                    if len(self._cache) >= self._cache_size:
-                        self._cache.clear()
-                    self._cache[ckey] = (tuple(f_kind[before:]),
-                                         tuple(f_text[before:]),
-                                         tuple(f_ref[before:]), errs)
+                    hit = cache.get(ckey)
+                if hit is not None:
+                    self.cache_hits += 1
+                else:
+                    hit = self._extract(seg)
+                    if ckey is not None:
+                        if len(cache) >= self._cache_size:
+                            cache.clear()
+                        cache[ckey] = hit
             except Exception:           # poison row → quarantine, never raise
-                del f_kind[before:], f_text[before:], f_ref[before:]
-                span_counts[i] = 0
-                statuses.append("error")
-                n_errs.append(-1)
-                n_spans.append(0)
+                quarantine("error", total_bytes)
+                continue
+            kinds, span_texts, refs, errs = hit
+            f_kind.extend(kinds)
+            f_text.extend(span_texts)
+            f_ref.extend(refs)
+            statuses.append("ok")
+            n_errs.append(errs)
+            n_spans.append(len(kinds))
             n_bytes.append(total_bytes)
 
         list_offsets = np.zeros(len(doc_ids) + 1, dtype=np.int32)
-        list_offsets[1:] = np.cumsum(span_counts)
+        list_offsets[1:] = np.cumsum(n_spans)
         # per-doc span offsets 0..n-1, vectorized
         total = int(list_offsets[-1])
         pos = np.arange(total, dtype=np.int32) - np.repeat(
-            list_offsets[:-1].astype(np.int32), span_counts)
+            list_offsets[:-1].astype(np.int32), n_spans)
         values = pa.StructArray.from_arrays(
             [pa.array(f_kind, pa.string()),
              pa.array(f_text, pa.string()),

@@ -470,3 +470,33 @@ def test_end_tag_with_attributes_or_solidus_processed():
     # space before the name: bogus comment, div stays open (spec)
     assert body_tags("<div>a</ div><p>b</p>") == \
         ([("div", ["p"])], 1)
+
+
+def test_lt_before_non_ascii_letter_is_text():
+    """A tag name starts with an ASCII letter, so '<é' and '<中' are
+    text like '<2', and the rest of the page still parses as markup."""
+    from gumbo_pp_ray.html import extract_spans
+
+    for ch in ("é", "中"):
+        doc = parse(f"<p>a <{ch} b</p><p>next para</p><img src=x.png>")
+        assert extract_spans(doc) == [
+            ("text", f"a <{ch} b", "", 0),
+            ("text", "next para", "", 1),
+            ("media", "", "x.png", 2),
+        ]
+    assert [s[1] for s in extract_spans(parse("<p>1 <2 3</p><p>x</p>"))] \
+        == ["1 <2 3", "x"]
+
+
+def test_release_empties_every_child_list():
+    from gumbo_pp_ray.html.dom import release
+
+    doc = parse("<!DOCTYPE html><html><head><title>t</title></head><body>"
+                "<div><p>a <b>b<i>c</i></b></p><ul><li>x<li>y</ul>"
+                "<table><tr><td>1</td></tr></table><img src=i.png></div>"
+                "<!-- c --></body></html>")
+    parents = [n for n in walk(doc) if n.children]
+    assert doc in parents and len(parents) > 10
+    release(doc)
+    assert all(n.children == [] for n in parents)
+    assert doc.children == []

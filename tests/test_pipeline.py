@@ -509,3 +509,100 @@ def test_null_span_text_quarantined_not_fatal(ray_session):
     assert by_id["a"]["status"] == "ok" and by_id["a"]["n_spans"] > 0
     # the null-text doc parses as an empty payload: ok with 0 spans
     assert by_id["b"]["status"] in ("ok", "error")
+
+
+def _reference_row(spans, chunk=None):
+    """Per-row reference for ``ExtractSpans``: stable sort by offset,
+    null text as "", parse + extract each chunk of the payload."""
+    seg = [s["text"] or "" for s in sorted(spans, key=lambda s: s["offset"])]
+    step = chunk if (chunk and len(seg) > chunk) else len(seg) or 1
+    out, errs = [], 0
+    for j in range(0, len(seg), step):
+        doc = parse("".join(seg[j:j + step]))
+        errs += doc.parse_errors
+        out += extract_spans(doc)
+    return ([{"kind": k, "text": t, "media_ref": m, "offset": i}
+             for i, (k, t, m, _o) in enumerate(out)], errs)
+
+
+def test_extractor_batch_order_detection_matches_per_row_reference():
+    """Out-of-order span offsets are found once per batch; every row
+    must still come out exactly as a per-row stable sort would give."""
+    def row(*pairs):
+        return [{"kind": "text", "text": t, "media_ref": "", "offset": o}
+                for o, t in pairs]
+
+    page = row((0, "<h1>Title</h1>"), (1, "<p>one <b>bo"),
+               (2, "ld</b></p>"), (3, "<img src='a.png'>"), (4, "<p>two</p>"))
+    shuffled = [page[3], page[0], page[4], page[2], page[1]]
+    tail = row((0, "<ul><li>a"), (1, "</li><li>b</li>"), (2, "</ul>"),
+               (3, "<pre>  x\n</pre>"))
+    ties = row((1, "<p>b</p>"), (0, "<p>a</p>"), (1, "<p>c</p>"))
+    rows = [
+        ("before", shuffled, None),       # sliced away below
+        ("first", shuffled, None),
+        ("asc-long", page, None),
+        # starts below the previous row's last offset: a descent that
+        # falls exactly on a row boundary, not inside a row
+        ("boundary", row((0, "<p>x</p>"), (1, "<p>y</p>")), None),
+        ("empty-1", [], None),
+        ("middle", ties, None),
+        # offsets need not start at 0; starting above "middle"'s last
+        # leaves "middle"'s only descent inside it, next to its start
+        ("null", row((2, "<p>n</p>"), (3, None), (4, "<p>m</p>")), None),
+        ("input-error", shuffled, "truncated record"),
+        ("empty-2", [], None),
+        ("dup", page, None),
+        ("last", [tail[2], tail[0], tail[3], tail[1]], None),
+    ]
+    t = pa.table({
+        "doc_id": [r[0] for r in rows],
+        "spans": pa.array([r[1] for r in rows], t_spans_type()),
+        "input_error": pa.array([r[2] for r in rows], pa.string()),
+    }).slice(1)
+    for kw in ({}, {"chunk_spans": 1}):
+        ex = ExtractSpans(**kw)
+        out = {r["doc_id"]: r for r in ex(t).to_pylist()}
+        assert list(out) == [r[0] for r in rows[1:]]
+        # "asc-long" and "dup" reuse "first" (the same payload once
+        # sorted); "empty-2" reuses "empty-1"
+        assert ex.cache_hits == 3
+        for doc_id, spans, ierr in rows[1:]:
+            got = out[doc_id]
+            if ierr is not None:
+                assert (got["status"], got["spans"]) == ("error", [])
+                continue
+            want, errs = _reference_row(spans, kw.get("chunk_spans"))
+            assert got["status"] == "ok", doc_id
+            assert got["spans"] == want, doc_id
+            assert got["n_parse_errors"] == errs, doc_id
+            assert got["n_spans"] == len(want), doc_id
+        assert out["first"]["spans"][0]["kind"] == "heading"
+
+
+def test_extractor_leaves_no_cyclic_garbage():
+    """Each parsed tree is released after extraction, so it is freed by
+    reference counting: with the cyclic GC off, a 96-row batch leaves
+    no DOM node for ``gc.collect()`` to find."""
+    import gc
+
+    from gumbo_pp_ray.html.dom import Node
+
+    table = gen_corpus(CorpusSpec(num_docs=96, mega_every=40,
+                                  mega_spans=120))
+    for kw in ({}, {"chunk_spans": 8}):
+        ex = ExtractSpans(**kw)
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            out = ex(table)
+            gc.collect()
+            leaked = sum(isinstance(o, Node) for o in gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert out.num_rows == 96
+        assert set(out.column("status").to_pylist()) == {"ok"}
+        assert leaked == 0

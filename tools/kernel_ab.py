@@ -1,0 +1,106 @@
+"""Kernel A/B: ``ExtractSpans`` CPU time, another checkout vs this one.
+
+Runs ``ExtractSpans`` (96-row batches, a fresh extractor per rep) over
+the cached ``extract_pages`` inputs of the benchmark
+(``perfbench/.cache/extract_pages-<seed>-*/input``, left by any
+``perfbench/run.py --workload extract_pages --seed N`` run).  Each side
+and seed runs in its own fresh process; the two sides alternate which
+goes first; a process reports the minimum ``time.process_time()`` of
+its reps.  On a host whose speed drifts, even inside one process, the
+minimum over fresh processes is the number that repeats.
+
+    python tools/kernel_ab.py PARENT_CHECKOUT [--seeds 1-5] [--reps 5]
+                              [--rounds 2]
+
+Prints one JSON line per process, then one summary line per seed
+(each side's minimum, ``new/parent``) and the median ratio.  Children
+run outside both checkouts with their side's package first on
+``sys.path``, so neither side can import the other's package.
+"""
+
+from __future__ import annotations
+
+import argparse
+import glob
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+
+HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+CHILD = r"""
+import glob, json, sys, time
+root, inp, reps = sys.argv[1], sys.argv[2], int(sys.argv[3])
+sys.path.insert(0, root)
+import pyarrow.parquet as pq
+from gumbo_pp_ray.stages import extractor
+assert extractor.__file__.startswith(root), extractor.__file__
+batches = []
+for f in sorted(glob.glob(inp + "/*.parquet")):
+    t = pq.read_table(f, columns=["doc_id", "spans"])
+    batches += [t.slice(lo, 96) for lo in range(0, t.num_rows, 96)]
+best = float("inf")
+for _ in range(reps):
+    ex = extractor.ExtractSpans()
+    t0 = time.process_time()
+    for b in batches:
+        ex(b)
+    best = min(best, time.process_time() - t0)
+print(json.dumps({"min_cpu_s": round(best, 4)}))
+"""
+
+
+def seeds_arg(text: str) -> list[int]:
+    if "-" in text:
+        lo, hi = text.split("-")
+        return list(range(int(lo), int(hi) + 1))
+    return [int(s) for s in text.split(",")]
+
+
+def run_side(root: str, inp: str, reps: int, cwd: str) -> float:
+    out = subprocess.run([sys.executable, "-c", CHILD, root, inp, str(reps)],
+                         cwd=cwd, check=True, capture_output=True, text=True)
+    return json.loads(out.stdout.strip().splitlines()[-1])["min_cpu_s"]
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent", help="root of the checkout to compare against")
+    ap.add_argument("--seeds", type=seeds_arg, default=seeds_arg("1-5"))
+    ap.add_argument("--reps", type=int, default=5)
+    ap.add_argument("--rounds", type=int, default=2)
+    a = ap.parse_args(argv)
+    sides = {"parent": os.path.abspath(a.parent), "new": HERE}
+    ratios = []
+    with tempfile.TemporaryDirectory() as cwd:
+        for seed in a.seeds:
+            found = glob.glob(os.path.join(
+                HERE, "perfbench", ".cache", f"extract_pages-{seed}-*",
+                "input"))
+            if not found:
+                sys.exit(f"no cached input for seed {seed}: run "
+                         "perfbench/run.py --workload extract_pages "
+                         f"--seed {seed} first")
+            best = {"parent": float("inf"), "new": float("inf")}
+            for r in range(a.rounds):
+                order = ("parent", "new") if (seed + r) % 2 == 0 else (
+                    "new", "parent")
+                for side in order:
+                    t = run_side(sides[side], found[0], a.reps, cwd)
+                    best[side] = min(best[side], t)
+                    print(json.dumps({"seed": seed, "round": r,
+                                      "side": side, "min_cpu_s": t}),
+                          flush=True)
+            ratio = best["new"] / best["parent"]
+            ratios.append(ratio)
+            print(json.dumps({"seed": seed, "parent_s": best["parent"],
+                              "new_s": best["new"],
+                              "ratio": round(ratio, 3)}), flush=True)
+    print(json.dumps({"median_ratio": round(statistics.median(ratios), 3)}))
+
+
+if __name__ == "__main__":
+    main()
