@@ -26,7 +26,9 @@ _SF0001 = "/root/testdata/sf0.001"
 
 
 def _qconc():
-    """Query-level actor-pool bounds: AUTOSCALING (1, cpus-2).
+    """Autoscaling actor-pool bounds ``(1, cpus-2)`` for the actor
+    stages of the doc-annotation, sketch and broadcast-membership
+    queries.
 
     The driver runs ~60 queries sequentially in ONE Ray session; each
     fixed-size pool waits for its full actor complement before
@@ -34,8 +36,8 @@ def _qconc():
     starve that wait forever (observed livelock after ~37 sequential
     queries).  Autoscaling pools start with one actor and never wait,
     and sf0.01 correctness runs are too short for the fixed-pool
-    steady-state advantage to matter (bench.py keeps fixed pools for
-    the throughput path).
+    steady-state advantage to matter.  Extraction builds no pool: it
+    is a task stage sized by ``default_pool_size()``.
     """
     from gumbo_pp_ray.state.sizing import default_concurrency
     return default_concurrency()
@@ -54,15 +56,14 @@ def _docs(sf_dir: str, columns=("doc_id", "text", "lang", "source")):
 
 def entry() -> Any:
     """Flagship pipeline on sf0.001: documents → interleaved spans →
-    actor-pool extraction (pure map; mega-docs chunked in the actor).
+    task-stage extraction (pure map; mega-docs chunked in the kernel).
     Returns the extracted Dataset (doc_id, spans, status, counters)."""
     from gumbo_pp_ray.pipelines.extract_pipeline import extract_dataset
     from gumbo_pp_ray.pipelines.wrap import wrap_documents_chunked
 
     ds = _docs(_SF0001).map_batches(wrap_documents_chunked,
                                     batch_format="pyarrow")
-    return extract_dataset(ds, split_threshold=256, batch_size=64,
-                          concurrency=_qconc())
+    return extract_dataset(ds, split_threshold=256, batch_size=64)
 
 
 # ------------------------------------------------------------- queries
@@ -75,8 +76,7 @@ def _q_extract_flagship(sf_dir: str):
     from gumbo_pp_ray.stages.explode import explode_spans
 
     ds = _docs(sf_dir).map_batches(wrap_documents, batch_format="pyarrow")
-    out = extract_dataset(ds, split_threshold=256, batch_size=64,
-                          concurrency=_qconc())
+    out = extract_dataset(ds, split_threshold=256, batch_size=64)
     return (out.select_columns(["doc_id", "spans"])
                .map_batches(explode_spans, batch_format="pyarrow"))
 
@@ -657,8 +657,7 @@ def _q_media_refs(sf_dir: str):
     from gumbo_pp_ray.pipelines.wrap import wrap_documents
     from gumbo_pp_ray.stages.media import collect_media_refs
     ds = _docs(sf_dir).map_batches(wrap_documents, batch_format="pyarrow")
-    out = extract_dataset(ds, split_threshold=256, batch_size=64,
-                          concurrency=_qconc())
+    out = extract_dataset(ds, split_threshold=256, batch_size=64)
     return (out.select_columns(["doc_id", "spans"])
                .map_batches(collect_media_refs, batch_format="pyarrow"))
 
@@ -674,8 +673,9 @@ def _q_media_decode(sf_dir: str):
     from gumbo_pp_ray.state.sizing import default_concurrency
     ds = _q_media_refs(sf_dir).map_batches(synth_image_payloads,
                                            batch_format="pyarrow")
-    # SECONDARY pool (the extract pool upstream is fixed-size):
-    # autoscaling from 1 — two fixed pools would over-reserve CPUs
+    # SECONDARY pool (the extract stage upstream holds a fixed
+    # number of CPUs): autoscaling from 1 — a fixed pool beside it
+    # would over-reserve CPUs
     out = ds.map_batches(DecodeMedia,
                          fn_constructor_kwargs={"decoder": "headers"},
                          batch_format="pyarrow", batch_size=32,
@@ -696,8 +696,7 @@ def _q_spans_by_lang(sf_dir: str):
 
     docs = _docs(sf_dir)
     ds = docs.map_batches(wrap_documents, batch_format="pyarrow")
-    out = extract_dataset(ds, split_threshold=256, batch_size=64,
-                          concurrency=_qconc())
+    out = extract_dataset(ds, split_threshold=256, batch_size=64)
     left = out.select_columns(["doc_id", "n_spans"])
     right = _docs(sf_dir, ("doc_id", "lang")).map_batches(
         lambda t: t.set_column(0, "doc_id",
@@ -1269,8 +1268,7 @@ def _q_extract_totals(sf_dir: str):
     from gumbo_pp_ray.pipelines.wrap import wrap_documents
 
     ds = _docs(sf_dir).map_batches(wrap_documents, batch_format="pyarrow")
-    out = extract_dataset(ds, split_threshold=256, batch_size=64,
-                          concurrency=_qconc())
+    out = extract_dataset(ds, split_threshold=256, batch_size=64)
     agg = out.aggregate(
         ray.data.aggregate.Count(),
         ray.data.aggregate.Sum("n_spans", alias_name="n_spans"),

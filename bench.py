@@ -1,7 +1,7 @@
 """Benchmark harness — prints ONE JSON line for the driver.
 
 Headline pipeline: interleaved-corpus extraction (wrap sf documents →
-actor-pool parse+extract, pure map → parquet sink).
+task-stage parse+extract, pure map → parquet sink).
 
     python bench.py                 # $GRAFT_SF_DIR (default sf0.1),
                                     # $RAY_GRAFT_CPUS (default 32)
@@ -77,9 +77,9 @@ def bench_extract() -> dict:
     from gumbo_pp_ray.pipelines.extract_pipeline import extract_dataset
 
     corpus = _ensure_corpus()
-    # untimed warm-up: page cache + worker-process imports + actor
-    # spin-up, so the timed section measures steady-state throughput
-    # (what a multi-hour 100 TB job actually runs at), not pool
+    # untimed warm-up: page cache + worker-process start-up and
+    # imports, so the timed section measures steady-state throughput
+    # (what a multi-hour 100 TB job actually runs at), not worker
     # ramp-up amortized over an 8-second run
     n_docs = ray.data.read_parquet(corpus).count()
     n_bytes = sum(os.path.getsize(os.path.join(corpus, f))
@@ -92,10 +92,11 @@ def bench_extract() -> dict:
     shutil.rmtree(sink, ignore_errors=True)
 
     t0 = time.perf_counter()
-    # blocks sized so each actor sees 4-8 sub-second tasks: 64 blocks
-    # over a 24-actor pool quantizes to 2-3 tasks/actor and the
-    # 1-extra-task actors set the critical path (measured round 4:
-    # 128 blocks ~15% faster than 64; 192 ≈ 128)
+    # blocks sized so each extraction slot sees 4-8 sub-second tasks:
+    # 64 blocks over 24 concurrent tasks quantizes to 2-3 tasks/slot
+    # and the 1-extra-task slots set the critical path (measured
+    # round 4 with an actor pool: 128 blocks ~15% faster than 64;
+    # 192 ≈ 128)
     ds = ray.data.read_parquet(corpus, columns=["doc_id", "spans"],
                                override_num_blocks=max(128, 4 * NUM_CPUS))
     out = extract_dataset(ds, split_threshold=256, batch_size=None)

@@ -92,11 +92,12 @@ def _default_strip_selector() -> "match.Selector":
 
 
 class ExtractProfile:
-    """Compiled extraction configuration — built ONCE per actor
+    """Compiled extraction configuration — built ONCE per run
     (reference analogue: the compiled selector sets + tag dispatch
     tables the north rule names; SURVEY.md §2.4 M21, §3.4).
 
-    Picklable: ships to Ray actor pools in ``__init__`` args.
+    Picklable: ships to Ray workers in the extraction stage's
+    ``fn_kwargs``.
     """
 
     __slots__ = ("strip_tags", "ad_tokens", "normalize_ws",

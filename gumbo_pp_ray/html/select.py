@@ -575,9 +575,11 @@ _ALL_TAGS = (
     "meter details summary menu menuitem applet acronym bgsound dir "
     "frame frameset noframes isindex listing xmp nextid noembed "
     "plaintext rb strike basefont big blink center font marquee "
-    "multicol nobr spacer tt rtc dialog canvas slot picture"
+    "multicol nobr spacer tt rtc dialog canvas slot picture "
+    "mi mo mn ms mtext mglyph malignmark annotation-xml "
+    "foreignobject desc keygen"
 ).split()
 
 for _t in _ALL_TAGS:
-    setattr(tag, _t.upper(), TagIs(_t))
+    setattr(tag, _t.upper().replace("-", "_"), TagIs(_t))
 del _t

@@ -14,7 +14,7 @@ in ``text`` and the canonical source identity in ``media_ref``.
 Everything is seeded (default seed=42, FIXTURES.md §5) and built from
 a fixed fragment vocabulary — no external data, no timestamps. A
 configurable fraction of "mega-docs" (≥100x median span count)
-exercises the extractor's in-actor chunking skew path.
+exercises the extractor's in-kernel chunking skew path.
 """
 
 from __future__ import annotations

@@ -3,12 +3,12 @@
 Topology (SURVEY.md §3.4) — PURE MAP, no exchange::
 
     read (column-pruned)
-      → map_batches(ExtractSpans, actor pool) # fused assemble+parse+extract
+      → map_batches(extract_batch, tasks)     # fused assemble+parse+extract
       → write_parquet (wave-partitioned, atomic, resumable)
 
 Each input row stays a complete document through extraction, so
 nothing is grouped or exchanged. Mega-doc skew is handled inside the
-actor: ``max_doc_bytes`` quarantines byte-bombs and ``split_threshold``
+kernel: ``max_doc_bytes`` quarantines byte-bombs and ``split_threshold``
 parses an oversized document one span-slice at a time.
 
 Two execution shapes:
@@ -34,7 +34,7 @@ import ray.data
 
 from ..html.extract import DEFAULT_PROFILE, ExtractProfile
 from ..sources.io import list_input_files, read_interleaved
-from ..stages.extractor import ExtractSpans
+from ..stages.extractor import extract_batch
 
 
 def extract_dataset(
@@ -48,18 +48,22 @@ def extract_dataset(
 ) -> "ray.data.Dataset":
     """Compose the extraction stages over an interleaved-docs Dataset.
 
-    ``split_threshold`` is the in-actor ``chunk_spans`` slice size: a
+    ``split_threshold`` is the kernel's ``chunk_spans`` slice size: a
     document with more input spans is parsed one slice at a time
     (bounded DOM memory) and emitted as one complete row; ``None``
-    parses every document whole. The actor pool is the last operator.
+    parses every document whole. The extraction task stage is the last
+    operator: at most ``concurrency`` tasks at once, one CPU each. Each
+    call gets a fresh run token, so the workers' extractors (profile,
+    payload cache) are scoped to this run.
     """
     from ..state.sizing import default_pool_size
 
     if concurrency is None:
         concurrency = default_pool_size()
     return ds.map_batches(
-        ExtractSpans,
-        fn_constructor_kwargs={
+        extract_batch,
+        fn_kwargs={
+            "run": uuid.uuid4().hex,
             "profile": profile,
             "max_doc_bytes": max_doc_bytes,
             "chunk_spans": split_threshold},
@@ -166,18 +170,10 @@ def run_extraction(
     output bytes (``split_threshold``, ``max_doc_bytes``,
     ``output_format``, the profile); a later run with different ones
     raises ``ValueError`` before any wave runs.
-
-    Pool default differs from extract_dataset's: a multi-WAVE job
-    creates one actor pool per wave, and back-to-back creation/teardown
-    of maximum-size fixed pools stalls the raylet (Ray Data waits for
-    every actor of a fixed pool before processing; measured 16s/wave
-    stalls at pool=30 vs 3s at pool<=16). Waves therefore default to an
-    autoscaling pool with a fast-start minimum: (min(8, n), n).
     """
     if concurrency is None:
         from ..state.sizing import default_pool_size
-        n = default_pool_size()
-        concurrency = (min(8, n), n)
+        concurrency = default_pool_size()
     # input kind by shard extension: interleaved parquet/lance tables,
     # or raw WARC archives (Common Crawl shape) — WARC waves read the
     # archives and bridge through warc_to_interleaved, so the resume
@@ -252,7 +248,7 @@ def run_extraction(
             ds = read_warc(wave_files).map_batches(
                 warc_to_interleaved, batch_format="pyarrow")
             # the archive is the task unit here: the reader's one-row
-            # path blocks are fused into the extract actor pool, and a
+            # path blocks are fused into the extract stage, and a
             # row-count batch_size makes the bundler pack ALL archives
             # of a wave into ONE task (16 one-row blocks < 96 rows ⇒
             # zero parallelism — measured 10x wave slowdown on the
@@ -260,15 +256,13 @@ def run_extraction(
             # batches = the reader's flush_records yields.
             wave_batch_size = None
         else:
-            # split the wave into ≥4 tasks per actor: blocks==files
-            # quantizes to ~1 task/actor and the slowest file sets the
+            # split the wave into ≥4 tasks per worker: blocks==files
+            # quantizes to ~1 task/worker and the slowest file sets the
             # wave's critical path (same finding as the bench read,
             # measured ~15% there)
-            pool_max = (concurrency if isinstance(concurrency, int)
-                        else concurrency[1])
             ds = read_interleaved(
                 wave_files,
-                override_num_blocks=max(4 * pool_max, len(wave_files)))
+                override_num_blocks=max(4 * concurrency, len(wave_files)))
             wave_batch_size = batch_size
         out = extract_dataset(ds, profile=profile,
                               split_threshold=split_threshold,

@@ -2,8 +2,8 @@
 
 Modules:
     assemble        span-list → HTML payload plumbing
-    extractor       the hot parse+select+strip actor pool (in-actor
-                    mega-doc chunking)
+    extractor       the hot parse+select+strip kernel, run as a task
+                    stage (in-kernel mega-doc chunking)
     explode         spans list<struct> → one row per span
     selector_query  distributed matcher queries over templates
     table_query     scoped structured-table scrape (Q5)

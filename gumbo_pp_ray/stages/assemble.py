@@ -6,7 +6,7 @@ HTML source is the concatenation of its span ``text`` fields in
 batch (zero-copy via ``ListArray.values`` / ``offsets``) and joins
 per-row slices — no per-row Arrow round trips.
 
-The single-process reference for the extractor's fused in-actor
+The single-process reference for the extractor's fused in-kernel
 assembly (the payload string never crosses an object-store boundary).
 """
 

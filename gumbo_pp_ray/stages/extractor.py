@@ -1,10 +1,13 @@
-"""The extraction actor — the engine's hot stage.
+"""The extraction kernel — the engine's hot stage.
 
-A callable CLASS for ``map_batches(ExtractSpans, batch_format="pyarrow",
-concurrency=N, batch_size=B)``: the compiled extraction profile
-(selector strip-set + tag dispatch tables) is built ONCE per actor in
-``__init__`` (the stateful-actor-pool pattern the north rule names);
-``__call__`` runs per Arrow batch.
+``ExtractSpans`` builds the compiled profile (strip-set + tag dispatch)
+once in ``__init__`` and runs ``__call__`` per Arrow batch. Ray runs it
+as a TASK stage, ``map_batches(extract_batch, fn_kwargs={"run": token,
+...})``, on already-warm workers: no actor start-up per job (a fresh
+process importing ``ray.data``, 0.6-1.6 s on a 4-CPU box). A worker
+keeps only the ``ExtractSpans`` of the run token it last served, so
+the profile and the payload cache live for one ``extract_dataset``
+call, as an actor's did; nothing carries into the next run.
 
 Per-row robustness (SURVEY.md §4.2 poison documents): parse + extract
 are wrapped per row; a pathological document yields a
@@ -12,7 +15,7 @@ are wrapped per row; a pathological document yields a
 fails, so Ray task retries stay safe and idempotent.
 
 Fused assembly: the span→payload concatenation happens inside the
-actor, so multi-MB HTML strings never cross an object-store boundary.
+task, so multi-MB HTML strings never cross an object-store boundary.
 """
 
 from __future__ import annotations
@@ -35,13 +38,13 @@ class ExtractSpans:
                  max_doc_bytes: int | None = 256 * 1024 * 1024,
                  chunk_spans: int | None = None,
                  cache_size: int = 256):
-        # once per actor: compiled strip set / kind dispatch
+        # once per run: compiled strip set / kind dispatch
         self.profile = profile or DEFAULT_PROFILE
         # quarantines pathological byte-bombs instead of OOMing the
-        # actor (status="oversize"); chunk_spans cannot bound a
+        # worker (status="oversize"); chunk_spans cannot bound a
         # single-span payload
         self.max_doc_bytes = max_doc_bytes
-        # in-actor mega-doc chunking: a doc with more than chunk_spans
+        # in-kernel mega-doc chunking: a doc with more than chunk_spans
         # input spans is assembled + parsed one span-slice at a time
         # (each slice a self-contained fragment per the
         # interleaved-table contract), bounding peak memory to one
@@ -50,7 +53,7 @@ class ExtractSpans:
         self.chunk_spans = chunk_spans
         # exact-duplicate payload cache (web corpora repeat whole
         # documents — mirrors, retries, boilerplate pages): payload
-        # md5 → extracted result, per actor, cleared when full.
+        # md5 → extracted result, per run, cleared when full.
         # Deterministic extraction makes reuse safe; doc_id and
         # counters stay per-row.
         self._cache_size = max(0, cache_size)
@@ -108,7 +111,7 @@ class ExtractSpans:
         # column is assembled from four flat arrays + list offsets
         # (ListArray.from_arrays), never per-span Python dicts: dict
         # building was the allocation hot spot that capped aggregate
-        # throughput under a full actor pool (memory pressure, not CPU)
+        # throughput under a full worker pool (memory pressure, not CPU)
         f_kind: list[str] = []
         f_text: list[str] = []
         f_ref: list[str] = []
@@ -151,7 +154,7 @@ class ExtractSpans:
                 ckey = hit = None
                 # only payloads the cache can STORE (< 1 MiB) are
                 # worth keying — hashing a 100 MB doc for a
-                # guaranteed miss costs ~100 ms in the hot actor
+                # guaranteed miss costs ~100 ms in the hot stage
                 if self._cache_size and total_bytes < 1 << 20:
                     # the key folds in the span STRUCTURE (count, each
                     # segment's length) and the chunking step, not
@@ -208,3 +211,19 @@ class ExtractSpans:
             "n_spans": pa.array(n_spans, pa.int64()),
             "n_bytes_in": pa.array(n_bytes, pa.int64()),
         })
+
+
+#: ``(run token, ExtractSpans)`` of the run this worker process last
+#: served; a new token replaces it, so one extractor is held at a time.
+_run_extractor: tuple | None = None
+
+
+def extract_batch(batch: pa.Table, *, run: str, **extractor_kw) -> pa.Table:
+    """Task-stage entry: ``ExtractSpans(**extractor_kw)(batch)`` through
+    the worker's extractor for run token ``run``, built on its first
+    batch of that run."""
+    global _run_extractor
+    if _run_extractor is None or _run_extractor[0] != run:
+        _run_extractor = None       # free the old run's cache first
+        _run_extractor = (run, ExtractSpans(**extractor_kw))
+    return _run_extractor[1](batch)

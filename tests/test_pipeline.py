@@ -81,7 +81,7 @@ def test_e2e_span_sequence_equality(ray_session, corpus_table):
 
     expected = kernel_reference(corpus_table)
     ds = ray.data.from_arrow(corpus_table)
-    # mega-docs (400 spans) are parsed in 64-span slices in the actor
+    # mega-docs (400 spans) are parsed in 64-span slices in the kernel
     out = extract_dataset(ds, split_threshold=64, concurrency=2,
                           batch_size=16)
     rows = out.take_all()
@@ -267,6 +267,113 @@ def test_extractor_cache_keys_on_span_structure():
     a, b = cached(t), plain(t)
     assert cached.cache_hits == 0          # structures differ → no reuse
     assert a.column("spans").to_pylist() == b.column("spans").to_pylist()
+
+
+def test_extract_batch_scopes_one_extractor_to_its_run(monkeypatch):
+    import weakref
+    from gumbo_pp_ray.stages import extractor
+
+    monkeypatch.setattr(extractor, "_run_extractor", None)
+    html = "<html><body><article><p>" + "word " * 20 + "</p></article>"
+
+    def batch(*ids):
+        rows = [[{"kind": "text", "text": html, "media_ref": "",
+                  "offset": 0}]] * len(ids)
+        return pa.table({"doc_id": list(ids),
+                         "spans": pa.array(rows, t_spans_type())})
+
+    out = extractor.extract_batch(batch("a"), run="r1", chunk_spans=64)
+    assert out.equals(ExtractSpans(chunk_spans=64)(batch("a")))
+    first = extractor._run_extractor[1]
+    assert first.chunk_spans == 64 and first.cache_hits == 0
+    # a second batch of the same run: same extractor, the payload it
+    # saw in the first batch is a cache hit
+    extractor.extract_batch(batch("b"), run="r1", chunk_spans=64)
+    assert extractor._run_extractor[1] is first and first.cache_hits == 1
+    # a new run starts fresh and drops the old run's extractor
+    extractor.extract_batch(batch("c"), run="r2", chunk_spans=64)
+    token, fresh = extractor._run_extractor
+    assert token == "r2" and fresh is not first and fresh.cache_hits == 0
+    old = weakref.ref(first)
+    del first
+    assert old() is None
+
+
+def _plan_ops(ds):
+    ops, todo = [], [ds._logical_plan.dag]
+    while todo:
+        op = todo.pop()
+        ops.append(op)
+        todo.extend(op.input_dependencies)
+    return ops
+
+
+def test_extraction_runs_as_task_stage(ray_session, tmp_path, monkeypatch):
+    """``extract_dataset`` is one task-pool MapBatches of the size asked
+    for; no actor pool anywhere on the extraction path, waves
+    included."""
+    import ray.data
+    from ray.data._internal.compute import (ActorPoolStrategy,
+                                            TaskPoolStrategy)
+    from ray.data._internal.logical.operators.map_operator import (
+        MapBatches)
+    from gumbo_pp_ray.pipelines import extract_pipeline as ep
+    from gumbo_pp_ray.state.sizing import default_pool_size
+
+    def computes(ds):
+        return [(type(op), op._compute) for op in _plan_ops(ds)
+                if hasattr(op, "_compute")]
+
+    ds = ray.data.from_arrow(gen_corpus(CorpusSpec(num_docs=8,
+                                                   mega_every=0)))
+    for n in (1, 3):
+        (kind, compute), = computes(ep.extract_dataset(ds, concurrency=n))
+        assert kind is MapBatches
+        assert isinstance(compute, TaskPoolStrategy) and compute.size == n
+
+    built = []
+    real = ep.extract_dataset
+
+    def spy(*a, **kw):
+        built.append(real(*a, **kw))
+        return built[-1]
+
+    monkeypatch.setattr(ep, "extract_dataset", spy)
+    inp = str(tmp_path / "corpus")
+    write_corpus(inp, CorpusSpec(num_docs=20, mega_every=0), files=2)
+    for conc in (2, None):           # explicit, and the default
+        ep.run_extraction(inp, str(tmp_path / f"out{conc}"),
+                          files_per_wave=1, concurrency=conc,
+                          batch_size=16)
+    assert len(built) == 4
+    for i, wave in enumerate(built):
+        found = computes(wave)
+        assert not any(isinstance(c, ActorPoolStrategy) for _, c in found)
+        sizes = [c.size for k, c in found if k is MapBatches]
+        assert sizes == [2 if i < 2 else default_pool_size()]
+
+
+def test_extract_dataset_back_to_back_runs_identical(ray_session,
+                                                     corpus_table):
+    import ray
+    import ray.data
+    from gumbo_pp_ray.pipelines.extract_pipeline import extract_dataset
+
+    # repeated payloads make the run-scoped cache hit within each run
+    t = pa.concat_tables([corpus_table, corpus_table.set_column(
+        0, "doc_id", pa.array([f"{d}-dup" for d in
+                               corpus_table.column("doc_id").to_pylist()]))])
+    ds = ray.data.from_arrow(t)
+
+    def run():
+        out = extract_dataset(ds, split_threshold=64, concurrency=2,
+                              batch_size=16)
+        got = pa.concat_tables(ray.get(out.to_arrow_refs()))
+        return got.sort_by("doc_id").combine_chunks()
+
+    first, second = run(), run()
+    assert first.num_rows == t.num_rows
+    assert first.equals(second)
 
 
 def t_spans_type():

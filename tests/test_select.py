@@ -203,6 +203,24 @@ def test_tag_constants_and_types():
         assert hasattr(match.tag, t)
 
 
+def test_tag_constants_math_svg_and_legacy_names():
+    # the MathML / SVG / legacy names of the reference's list; a "-" in
+    # the tag name becomes "_" in the constant
+    names = {"MI": "mi", "MO": "mo", "MN": "mn", "MS": "ms",
+             "MTEXT": "mtext", "MGLYPH": "mglyph",
+             "MALIGNMARK": "malignmark",
+             "ANNOTATION_XML": "annotation-xml",
+             "FOREIGNOBJECT": "foreignobject", "DESC": "desc",
+             "KEYGEN": "keygen"}
+    for const, t in names.items():
+        assert getattr(match.tag, const).tags == frozenset([t])
+    doc = parse("<math><mi>x</mi><annotation-xml>y</annotation-xml>"
+                "</math><p>z</p>")
+    hits = find_all(walk(doc), match.tag.ANNOTATION_XML)
+    assert [n.tag for n in hits] == ["annotation-xml"]
+    assert first(match.tag.MI, doc).tag == "mi"
+
+
 def test_tag_where():
     sel = match.tag.where(lambda t: t.startswith("sp"))
     assert first(sel).tag == "span"
