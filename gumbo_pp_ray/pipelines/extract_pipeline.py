@@ -55,8 +55,12 @@ def extract_dataset(
     operator: at most ``concurrency`` tasks at once, one CPU each. Each
     call gets a fresh run token, so the workers' extractors (profile,
     payload cache) are scoped to this run.
+
+    ``batch_size`` is the rows per kernel call; the rows per task are
+    derived (``state.sizing.rows_per_task``), and ``None`` runs one
+    task, and one kernel call, per input block.
     """
-    from ..state.sizing import default_pool_size
+    from ..state.sizing import default_pool_size, rows_per_task
 
     if concurrency is None:
         concurrency = default_pool_size()
@@ -64,11 +68,12 @@ def extract_dataset(
         extract_batch,
         fn_kwargs={
             "run": uuid.uuid4().hex,
+            "batch_size": batch_size,
             "profile": profile,
             "max_doc_bytes": max_doc_bytes,
             "chunk_spans": split_threshold},
         batch_format="pyarrow",
-        batch_size=batch_size,
+        batch_size=rows_per_task(ds, concurrency, batch_size),
         num_cpus=1,
         concurrency=concurrency,
     )
@@ -166,6 +171,9 @@ def run_extraction(
     lance); ``"parquet"`` (default) writes identically-shaped parquet.
     Wave commit/resume semantics are format-independent.
 
+    ``batch_size`` is the rows per kernel call; the rows per task are
+    derived from each wave's row count (see ``extract_dataset``).
+
     The first run into ``out_dir`` pins the settings that shape the
     output bytes (``split_threshold``, ``max_doc_bytes``,
     ``output_format``, the profile); a later run with different ones
@@ -247,19 +255,14 @@ def run_extraction(
             from ..sources.warc import read_warc, warc_to_interleaved
             ds = read_warc(wave_files).map_batches(
                 warc_to_interleaved, batch_format="pyarrow")
-            # the archive is the task unit here: the reader's one-row
-            # path blocks are fused into the extract stage, and a
-            # row-count batch_size makes the bundler pack ALL archives
-            # of a wave into ONE task (16 one-row blocks < 96 rows ⇒
-            # zero parallelism — measured 10x wave slowdown on the
-            # 1M-page drill).  batch_size=None = one task per archive,
-            # batches = the reader's flush_records yields.
+            # one task per archive: with no row count known, a batch
+            # size packs ALL of a wave's one-row archive blocks into ONE
+            # task (measured 10x wave slowdown on the 1M-page drill)
             wave_batch_size = None
         else:
-            # split the wave into ≥4 tasks per worker: blocks==files
-            # quantizes to ~1 task/worker and the slowest file sets the
-            # wave's critical path (same finding as the bench read,
-            # measured ~15% there)
+            # 4N read blocks, bundled into 2N tasks by extract_dataset:
+            # blocks==files would quantize to ~1 file per worker, and
+            # the slowest file would set the wave's critical path
             ds = read_interleaved(
                 wave_files,
                 override_num_blocks=max(4 * concurrency, len(wave_files)))

@@ -218,12 +218,16 @@ class ExtractSpans:
 _run_extractor: tuple | None = None
 
 
-def extract_batch(batch: pa.Table, *, run: str, **extractor_kw) -> pa.Table:
-    """Task-stage entry: ``ExtractSpans(**extractor_kw)(batch)`` through
-    the worker's extractor for run token ``run``, built on its first
-    batch of that run."""
+def extract_batch(batch: pa.Table, *, run: str, batch_size: int | None = None,
+                  **extractor_kw):
+    """Task-stage entry: yields ``ExtractSpans(**extractor_kw)`` over
+    ``batch_size``-row slices of the task's rows (all at once when
+    ``None``), through the worker's extractor for run token ``run``,
+    built on its first batch of that run."""
     global _run_extractor
     if _run_extractor is None or _run_extractor[0] != run:
         _run_extractor = None       # free the old run's cache first
         _run_extractor = (run, ExtractSpans(**extractor_kw))
-    return _run_extractor[1](batch)
+    step = batch_size or max(batch.num_rows, 1)
+    for i in range(0, max(batch.num_rows, 1), step):
+        yield _run_extractor[1](batch.slice(i, step))

@@ -1,15 +1,30 @@
-"""Stage sizing from live cluster resources.
+"""Stage sizing from live cluster resources and the plan's metadata.
 
-A hot stage that reserves every CPU starves the read/write/shuffle
-stages and serializes the pipeline (ray_guide: size concurrency x
-num_cpus to the node ALONGSIDE the other stages) — leaves 2 CPUs free.
+Sizing rules (each failure mode measured on a single node):
+
+* The ONE hot stage of a pipeline gets a FIXED size
+  (``default_pool_size()``): cluster CPUs minus 2, so read/write/
+  shuffle tasks keep CPUs. Ray's autoscaling ramps far too slowly for
+  batch jobs (autoscale (1,30): 7.4k docs/s vs fixed 24: 15k docs/s).
+* Any ADDITIONAL actor pool autoscales from 1 (``default_concurrency``):
+  two fixed stages that sum to every core starve the read/shuffle
+  tasks — observed as a hard livelock (idle-worker SIGTERM → lost
+  blocks → unsatisfiable re-execution); a min of 1 cannot deadlock.
+  Stateless stages are plain functions, never pools.
+* A hot-stage task gets ``rows_per_task`` rows: two tasks per worker,
+  so Ray's fixed cost per task (dispatch, and seeing the finish only
+  after the next write or a 0.1 s ``ray.wait``) is paid a few times
+  per run, not once per read block.
 """
 
 from __future__ import annotations
 
+import logging
 import os
 
 import ray
+
+log = logging.getLogger(__name__)
 
 
 def default_pool_size(reserve: int = 2, floor: int = 2) -> int:
@@ -43,21 +58,29 @@ def default_pool_size(reserve: int = 2, floor: int = 2) -> int:
 
 def default_concurrency(reserve: int = 2, floor: int = 2) -> tuple:
     """Autoscaling actor-pool bounds ``(1, cpus - reserve)`` — for
-    SECONDARY actor stages only.
-
-    Sizing rules (both failure modes measured on a single node):
-
-    * The ONE hot stage of a pipeline gets a FIXED size
-      (``default_pool_size()``); extraction is a task stage, so it
-      runs on warm workers and pays no actor start-up. Ray's
-      autoscaling policy ramps far too slowly for batch jobs —
-      measured 2x slower end-to-end than a fixed pool on identical
-      input (autoscale (1,30): 7.4k docs/s vs fixed 24: 15k docs/s).
-    * Any ADDITIONAL actor pool in the same pipeline autoscales from 1
-      (this function): two fixed stages that sum to every core starve
-      the read/shuffle tasks — observed as a hard livelock
-      (idle-worker SIGTERM → lost blocks → unsatisfiable
-      re-execution). A min of 1 cannot deadlock.
-    * Stateless stages are plain functions, never pools.
-    """
+    SECONDARY actor stages only (see the module docstring)."""
     return (1, default_pool_size(reserve, floor))
+
+
+def rows_per_task(ds, concurrency: int, floor: int | None) -> int | None:
+    """Rows per task of a ``concurrency``-wide stage over ``ds``:
+    ``max(floor, ceil(rows / (2 * concurrency)))``, capped at one
+    ``target_max_block_size`` of input.  ``rows`` is plan metadata
+    (parquet footers), never an execution; unknown rows (e.g. after a
+    ``map_batches``) give ``floor``; ``floor=None`` (one task per input
+    block) stays ``None``.  Logs the decision."""
+    try:
+        meta = ds._logical_plan.dag.infer_metadata()
+        rows, size = meta.num_rows, meta.size_bytes
+        cap = ds.context.target_max_block_size
+    except AttributeError:      # a Ray upgrade moved the metadata
+        rows = size = cap = None
+    n = floor
+    if rows and floor is not None:
+        n = max(floor, -(-rows // (2 * concurrency)))
+        if size and cap:
+            n = min(n, max(1, cap * rows // size))
+    log.info("task size: rows=%s concurrency=%d rows_per_task=%s "
+             "kernel_batch=%s", "unknown" if rows is None else rows,
+             concurrency, n or "per block", floor)
+    return n

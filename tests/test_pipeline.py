@@ -282,21 +282,36 @@ def test_extract_batch_scopes_one_extractor_to_its_run(monkeypatch):
         return pa.table({"doc_id": list(ids),
                          "spans": pa.array(rows, t_spans_type())})
 
-    out = extractor.extract_batch(batch("a"), run="r1", chunk_spans=64)
+    def run(b, token):
+        return list(extractor.extract_batch(b, run=token, chunk_spans=64))
+
+    out, = run(batch("a"), "r1")
     assert out.equals(ExtractSpans(chunk_spans=64)(batch("a")))
     first = extractor._run_extractor[1]
     assert first.chunk_spans == 64 and first.cache_hits == 0
     # a second batch of the same run: same extractor, the payload it
     # saw in the first batch is a cache hit
-    extractor.extract_batch(batch("b"), run="r1", chunk_spans=64)
+    run(batch("b"), "r1")
     assert extractor._run_extractor[1] is first and first.cache_hits == 1
     # a new run starts fresh and drops the old run's extractor
-    extractor.extract_batch(batch("c"), run="r2", chunk_spans=64)
+    run(batch("c"), "r2")
     token, fresh = extractor._run_extractor
     assert token == "r2" and fresh is not first and fresh.cache_hits == 0
     old = weakref.ref(first)
     del first
     assert old() is None
+
+
+def test_extract_batch_slices_task_rows_into_kernel_batches(monkeypatch):
+    """A task's rows run through the kernel ``batch_size`` rows at a
+    time; the slices together are one whole-table kernel call."""
+    from gumbo_pp_ray.stages import extractor
+
+    monkeypatch.setattr(extractor, "_run_extractor", None)
+    t = gen_corpus(CorpusSpec(num_docs=250, mega_every=0))
+    parts = list(extractor.extract_batch(t, run="r", batch_size=96))
+    assert [p.num_rows for p in parts] == [96, 96, 58]
+    assert pa.concat_tables(parts).equals(ExtractSpans()(t))
 
 
 def _plan_ops(ds):
@@ -351,6 +366,42 @@ def test_extraction_runs_as_task_stage(ray_session, tmp_path, monkeypatch):
         assert not any(isinstance(c, ActorPoolStrategy) for _, c in found)
         sizes = [c.size for k, c in found if k is MapBatches]
         assert sizes == [2 if i < 2 else default_pool_size()]
+
+
+def test_extraction_task_rows_follow_the_plan_row_count(ray_session,
+                                                      tmp_path):
+    """Rows per extraction task: two tasks per worker from the read's
+    metadata row count, never below the kernel batch; the kernel batch
+    when the count is unknown; one task per block for ``None``; at most
+    ``target_max_block_size`` of input."""
+    import math
+    from ray.data._internal.logical.operators.map_operator import (
+        MapBatches)
+    from gumbo_pp_ray.pipelines.extract_pipeline import extract_dataset
+    from gumbo_pp_ray.sources.io import read_interleaved
+
+    def task_rows(ds, **kw):
+        op = extract_dataset(ds, **kw)._logical_plan.dag
+        assert isinstance(op, MapBatches)
+        return op._min_rows_per_bundled_input
+
+    n = 200
+    inp = str(tmp_path / "corpus")
+    write_corpus(inp, CorpusSpec(num_docs=n, mega_every=0), files=2)
+    ds = read_interleaved(inp)
+    for conc in (1, 3):
+        for batch in (16, 96):
+            assert task_rows(ds, concurrency=conc, batch_size=batch) == \
+                max(batch, math.ceil(n / (2 * conc)))
+    assert task_rows(ds, concurrency=1, batch_size=None) is None
+    unknown = ds.map_batches(lambda t: t, batch_format="pyarrow")
+    assert task_rows(unknown, concurrency=1, batch_size=16) == 16
+
+    tiny = read_interleaved(inp)
+    size = tiny._logical_plan.dag.infer_metadata().size_bytes
+    tiny.context.target_max_block_size = size // 5
+    assert task_rows(tiny, concurrency=1, batch_size=16) == \
+        (size // 5) * n // size < n // 2
 
 
 def test_extract_dataset_back_to_back_runs_identical(ray_session,
