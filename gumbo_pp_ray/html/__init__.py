@@ -1,10 +1,11 @@
-"""Pure-Python per-document HTML kernel (no Ray dependency).
+"""Per-document HTML kernel in Python (no Ray dependency).
 
 Re-implements, from public knowledge only, the observable semantics of
 beached/gumbo_pp's query layer (reference: /root/reference
 include/daw/gumbo_pp/*.h) on top of a from-scratch HTML5-ish tokenizer
 and tree builder (the reference delegates parsing to the external
-Google ``gumbo`` C library; we delegate to nothing).
+Google ``gumbo`` C library; we delegate to nothing — a small C scanner
+of our own, ``_scan.c``, only speeds up the tokenizer's common path).
 
 Public surface:
     parse(html)                -> Document        (gumbo_range, P2)

@@ -27,8 +27,19 @@ intervening block, the html5lib adoption01 family; see
 _adoption_agency); ``</p>`` with no open ``p`` synthesizes an empty
 ``p`` (WHATWG in-body rule). Recoverable errors are counted.
 
-Designed for the hot path of a Ray actor pool: one module-level pass,
-no recursion, compiled regexes shared per process.
+Designed for the hot path of a Ray extraction task: one module-level
+pass, no recursion, compiled regexes shared per process.
+
+The common tokens are scanned in C: ``_scan.c`` (built at first import
+by ``_native.load_scan``) emits runs of text, of start tags that
+``_START_TAG_RE`` accepts and of end tags that ``_END_TAG_RE`` accepts,
+and stops before every other ``<`` — comments, doctype, CDATA, ``<?``,
+a bare ``<``, end tags with junk, unterminated tags, overlong names and
+the ``_SCAN_DEFER`` start tags (raw text, ``<image>``).  ``parse``'s
+loop body tokenizes that one token in Python and scanning resumes.
+The tree builder and every rule after tokenizing are the same Python
+code on both paths.  When the extension cannot be built, ``_scan`` is
+None and the loop body tokenizes everything: the same trees, slower.
 """
 
 from __future__ import annotations
@@ -36,6 +47,7 @@ from __future__ import annotations
 import re
 from html import unescape
 
+from ._native import load_scan
 from .dom import (
     CDATA, COMMENT, ELEMENT, TEXT, WHITESPACE,
     Document, Element, Node, TextNode,
@@ -145,6 +157,11 @@ _RAWTEXT_CLOSE = {
     t: re.compile(r"</" + t + r"(?=[\s/>])", re.I)
     for t in RAWTEXT_ELEMENTS | RCDATA_ELEMENTS
 }
+
+# the native scanner (None when it cannot be built) and the start tags
+# it leaves to parse's loop: raw text, and <image>'s rename
+_scan = load_scan()
+_SCAN_DEFER = frozenset(_RAWTEXT_CLOSE) | {"image"}
 
 # insertion-mode-lite states
 _BEFORE_HTML = 0
@@ -879,7 +896,27 @@ def parse(html: str, options: ParseOptions | None = None) -> Document:
             else:
                 tb._push(Element(ctx, {}, 0, 0, implied=True))
     stop = opts.stop_on_first_error
+    # the scanner emits runs of common tokens; each token it stops at
+    # takes one pass of the loop body, the tokenizer of last resort.
+    # stop_on_first_error must end at the token that raised, so it
+    # never scans
+    scan = None if stop or _scan is None else _scan.scan
     while pos < n:
+        if scan is not None:
+            toks, pos = scan(html, pos, _SCAN_DEFER)
+            for tok in toks:
+                kind = tok[0]
+                if kind == 0:
+                    tb.text(tok[1], tok[2], tok[3])
+                elif kind == 1:
+                    rawattrs = tok[2]
+                    tb.start_tag(tok[1],
+                                 _parse_attrs(rawattrs) if rawattrs else {},
+                                 tok[3], tok[4], tok[5])
+                else:
+                    tb.end_tag(tok[1], tok[2], tok[3])
+            if pos >= n:
+                break
         if stop and tb.parse_errors:
             break
         lt = find("<", pos)
@@ -998,8 +1035,10 @@ def parse(html: str, options: ParseOptions | None = None) -> Document:
             self_closing = slash == "/"
             el = tb.start_tag(tag, attrs, lt, m.end(), self_closing)
             pos = m.end()
-            if (el is not None and el.tag == tag and not self_closing
-                    and tag in _RAWTEXT_CLOSE and tb.stack
+            # raw text whenever the element stays open: a solidus the
+            # builder ignored (<title/>) must not leave its content as
+            # markup
+            if (el is not None and el.tag == tag and tag in _RAWTEXT_CLOSE
                     and tb.stack[-1] is el):
                 cm = _RAWTEXT_CLOSE[tag].search(html, pos)
                 if cm:

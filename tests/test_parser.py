@@ -500,3 +500,24 @@ def test_release_empties_every_child_list():
     release(doc)
     assert all(n.children == [] for n in parents)
     assert doc.children == []
+
+
+def test_self_closing_rawtext_start_tag_enters_rawtext():
+    """The builder ignores the solidus on known non-void tags (title,
+    script, style, textarea) and leaves the element open, so what
+    follows is its raw text up to the real end tag, not markup."""
+    from gumbo_pp_ray.html import extract_spans
+
+    for tag in ("title", "script", "style", "textarea"):
+        d = parse(f"<{tag}/>T</{tag}><p>z</p>")
+        assert extract_spans(d) == [("text", "z", "", 0)], tag
+        d = parse(f"<div><{tag}/>x</div>y</{tag}><p>after</p>")
+        el = [n for n in walk(d) if n.tag == tag][0]
+        assert [c.text for c in el.children] == ["x</div>y"], tag
+        assert [n.tag for n in walk(d) if n.kind == ELEMENT][-1] == "p"
+        assert ("text", "y", "", 0) not in extract_spans(d)
+    # xmp is outside _SPECIAL: its solidus is honoured, nothing is raw
+    d = parse("<xmp/>a<p>b</p>")
+    xmp = [n for n in walk(d) if n.tag == "xmp"][0]
+    assert xmp.children == []
+    assert [s[1] for s in extract_spans(d)] == ["a", "b"]

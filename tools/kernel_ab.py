@@ -6,7 +6,9 @@ the cached ``extract_pages`` inputs of the benchmark
 ``perfbench/run.py --workload extract_pages --seed N`` run).  Each side
 and seed runs in its own fresh process; the two sides alternate which
 goes first; a process reports the minimum ``time.process_time()`` of
-its reps.  On a host whose speed drifts, even inside one process, the
+its reps and whether the native HTML scanner was active
+(``"native"``: an A/B must not compare the Python fallback by
+accident).  On a host whose speed drifts, even inside one process, the
 minimum over fresh processes is the number that repeats.
 
     python tools/kernel_ab.py PARENT_CHECKOUT [--seeds 1-5] [--reps 5]
@@ -36,6 +38,7 @@ import glob, json, sys, time
 root, inp, reps = sys.argv[1], sys.argv[2], int(sys.argv[3])
 sys.path.insert(0, root)
 import pyarrow.parquet as pq
+from gumbo_pp_ray.html import parser
 from gumbo_pp_ray.stages import extractor
 assert extractor.__file__.startswith(root), extractor.__file__
 batches = []
@@ -49,7 +52,8 @@ for _ in range(reps):
     for b in batches:
         ex(b)
     best = min(best, time.process_time() - t0)
-print(json.dumps({"min_cpu_s": round(best, 4)}))
+print(json.dumps({"min_cpu_s": round(best, 4),
+                  "native": getattr(parser, "_scan", None) is not None}))
 """
 
 
@@ -60,10 +64,10 @@ def seeds_arg(text: str) -> list[int]:
     return [int(s) for s in text.split(",")]
 
 
-def run_side(root: str, inp: str, reps: int, cwd: str) -> float:
+def run_side(root: str, inp: str, reps: int, cwd: str) -> dict:
     out = subprocess.run([sys.executable, "-c", CHILD, root, inp, str(reps)],
                          cwd=cwd, check=True, capture_output=True, text=True)
-    return json.loads(out.stdout.strip().splitlines()[-1])["min_cpu_s"]
+    return json.loads(out.stdout.strip().splitlines()[-1])
 
 
 def main(argv=None):
@@ -89,11 +93,10 @@ def main(argv=None):
                 order = ("parent", "new") if (seed + r) % 2 == 0 else (
                     "new", "parent")
                 for side in order:
-                    t = run_side(sides[side], found[0], a.reps, cwd)
-                    best[side] = min(best[side], t)
+                    res = run_side(sides[side], found[0], a.reps, cwd)
+                    best[side] = min(best[side], res["min_cpu_s"])
                     print(json.dumps({"seed": seed, "round": r,
-                                      "side": side, "min_cpu_s": t}),
-                          flush=True)
+                                      "side": side, **res}), flush=True)
             ratio = best["new"] / best["parent"]
             ratios.append(ratio)
             print(json.dumps({"seed": seed, "parent_s": best["parent"],
