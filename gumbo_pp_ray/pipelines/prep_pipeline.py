@@ -89,24 +89,20 @@ def prep_training_corpus(ds, bench_ref, *, min_quality_milli: int = 500,
     doc_id.
 
     The dedup shuffle groups on a COARSE hash bucket and resolves
-    winners vectorized inside — same shape and sizing as
-    stages/dedup.py's exact_dedup, never a Python call per distinct
-    hash."""
-    from ..state.exchange import digest_buckets, exchange, partitions_for
+    winners vectorized inside — same shape as stages/dedup.py's
+    exact_dedup and sized by the same ``size_exact_exchange``, never a
+    Python call per distinct hash."""
+    from ..stages.dedup import size_exact_exchange
+    from ..state.exchange import digest_buckets, exchange
     from ..state.sizing import default_pool_size
     if concurrency is None:
         concurrency = default_pool_size()
-    n = None
-    if num_buckets is None or num_partitions is None:
-        n = ds.count()
-        if num_buckets is None:
-            num_buckets = partitions_for(n, 100_000, floor=64)
-        if num_partitions is None:
-            num_partitions = partitions_for(n, 10_000)
     stats = ds.map_batches(
         PrepStats,
         fn_constructor_kwargs={"bench_ref": bench_ref, "n": ngram},
         batch_format="pyarrow", concurrency=concurrency)
+    stats, n, num_buckets, num_partitions = size_exact_exchange(
+        ds, stats, "prep_training_corpus", num_buckets, num_partitions)
     ok = stats.filter(
         expr=f"quality_milli >= {int(min_quality_milli)} "
              f"and n_contaminated == 0")

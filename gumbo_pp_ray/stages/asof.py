@@ -23,6 +23,7 @@ import pandas as pd
 import pyarrow as pa
 
 from ..state.exchange import exchange, key_buckets, partitions_for
+from ..state.sizing import row_count
 
 
 def _tag_left(batch: pa.Table) -> pa.Table:
@@ -77,13 +78,15 @@ _ROWS_PER_BUCKET = 250_000
 
 def _bucketed_union(events_ds, orders_ds, num_buckets: int | None):
     """Both sides pruned to the join columns, unioned and bucketed by
-    key; ``num_buckets=None`` sizes from the input counts (floor 16)."""
-    if num_buckets is None:
-        num_buckets = partitions_for(
-            events_ds.count() + orders_ds.count(), _ROWS_PER_BUCKET,
-            floor=16)
+    key; ``num_buckets=None`` sizes from the sides' row counts
+    (floor 16)."""
     left = events_ds.map_batches(_tag_left, batch_format="pyarrow")
     right = orders_ds.map_batches(_tag_right, batch_format="pyarrow")
+    if num_buckets is None:
+        left, n_left = row_count(events_ds, "asof events", left)
+        right, n_right = row_count(orders_ds, "asof orders", right)
+        num_buckets = partitions_for(n_left + n_right, _ROWS_PER_BUCKET,
+                                     floor=16)
 
     def add_bucket(batch: pa.Table) -> pa.Table:
         return batch.append_column("bucket", pa.array(key_buckets(
@@ -200,14 +203,14 @@ def asof_join_events_orders(events_ds, orders_ds, *,
     """(event_id, user_id, o_orderkey) — latest order at or before each
     event's timestamp, per customer.
 
-    ``num_buckets=None`` derives the bucket count from
-    ``events.count() + orders.count()`` so per-bucket frames stay
-    bounded as inputs grow (for parquet-read inputs ``count()`` is a
-    metadata lookup; pass an explicit count-derived value to keep a
-    transformed lineage fully lazy).  Both sides are pruned to the
-    join columns BEFORE the bucket shuffle (_tag_left/_tag_right), so
-    a bucket group holds ~1/B of the narrow join keys, never the full
-    payload rows.
+    ``num_buckets=None`` derives the bucket count from the events'
+    and orders' row counts so per-bucket frames stay bounded as
+    inputs grow (``state.sizing.row_count``: a parquet-read side is
+    counted from its footers; a lazy side is materialized once, pruned
+    to the join columns, and reused).
+    Both sides are pruned to the join columns BEFORE the bucket
+    shuffle (_tag_left/_tag_right), so a bucket group holds ~1/B of
+    the narrow join keys, never the full payload rows.
 
     ``slice_sec`` defuses HOT KEYS: with it set, phase 1 groups by
     (key bucket, time slice) — a hot key's history is split across

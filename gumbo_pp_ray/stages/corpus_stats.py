@@ -87,8 +87,8 @@ def tfidf_doc_scores(ds, *, num_partitions: int = 16,
                      n_docs: int | None = None):
     """documents Dataset → (doc_id, tfidf_milli) with
     tfidf_milli = Σ_distinct-tokens tf · (1000·N // df) — integer-exact
-    corpus-weighted score.  ``n_docs`` defaults to ``ds.count()``
-    (metadata-fast for parquet reads)."""
+    corpus-weighted score.  ``n_docs`` defaults to ``ds.count()``,
+    which runs a lazy upstream one extra time — pass it when known."""
     if n_docs is None:
         n_docs = ds.count()
     rows = ds.map_batches(

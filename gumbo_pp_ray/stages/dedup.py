@@ -33,6 +33,7 @@ import pyarrow as pa
 from ..state.exchange import (
     digest_buckets, exchange, key_buckets, partitions_for,
 )
+from ..state.sizing import row_count
 
 # ---------------------------------------------------------- exact dedup
 
@@ -84,6 +85,26 @@ def _exact_merge_bucket(group: pa.Table) -> pa.Table:
     })
 
 
+def size_exact_exchange(ds, per_doc, caller: str,
+                        num_buckets: int | None,
+                        num_partitions: int | None) -> tuple:
+    """Bucket and partition counts of an exact-dedup exchange over the
+    documents ``ds``: ~100k rows per coarse hash bucket (floor 64) and
+    ~10k rows per reducer task.  ``per_doc`` is the caller's
+    row-preserving per-document stage over ``ds``.  Only counts (via
+    ``state.sizing.row_count``) when one is not given.  Returns
+    ``(per_doc, n, num_buckets, num_partitions)``; use the returned
+    ``per_doc`` downstream, ``n`` is None when nothing was counted."""
+    n = None
+    if num_buckets is None or num_partitions is None:
+        per_doc, n = row_count(ds, caller, per_doc)
+        if num_buckets is None:
+            num_buckets = partitions_for(n, 100_000, floor=64)
+        if num_partitions is None:
+            num_partitions = partitions_for(n, 10_000)
+    return per_doc, n, num_buckets, num_partitions
+
+
 def exact_dedup(ds, *, normalize: bool = False,
                 num_partitions: int | None = None,
                 num_buckets: int | None = None):
@@ -92,23 +113,17 @@ def exact_dedup(ds, *, normalize: bool = False,
     Shape: vectorized hash column → per-block Arrow combiner (one row
     per distinct hash per block) → ONE shuffle keyed on a coarse hash
     bucket → vectorized per-bucket merge (sort + ``reduceat``).
-    Bucket and partition counts not given are sized from
-    ``ds.count()`` (metadata-fast for parquet reads) by
-    ``state.exchange.partitions_for`` — so the merge stays a handful
-    of numpy ops per task at any corpus size, never a Python call per
+    Bucket and partition counts not given are sized from the row
+    count (``size_exact_exchange``) — so the merge stays a handful of
+    numpy ops per task at any corpus size, never a Python call per
     distinct hash."""
     import functools
-    n = None
-    if num_buckets is None or num_partitions is None:
-        n = ds.count()
-        if num_buckets is None:
-            num_buckets = partitions_for(n, 100_000, floor=64)
-        if num_partitions is None:
-            num_partitions = partitions_for(n, 10_000)
-    ds = ds.map_batches(
+    hashed = ds.map_batches(
         functools.partial(add_content_hash, normalize=normalize),
         batch_format="pyarrow")
-    ds = ds.map_batches(
+    hashed, n, num_buckets, num_partitions = size_exact_exchange(
+        ds, hashed, "exact_dedup", num_buckets, num_partitions)
+    ds = hashed.map_batches(
         functools.partial(_exact_partial, num_buckets=num_buckets),
         batch_format="pyarrow")
     return exchange(ds, _exact_merge_bucket,
@@ -313,12 +328,6 @@ def lsh_bands(batch: pa.Table, *, bands: int = 16, rows: int = 8,
 HOT_BUCKET_CAP = 256
 
 
-# Ceiling for the verify="local" / pair_dedup="local" shortcuts: above
-# this, minhash_lsh_pairs refuses them (the distributed plans are the
-# default and the only shapes that survive web scale).
-LOCAL_PATH_MAX_DOCS = 1_000_000
-
-
 _TRIU_CACHE: dict = {}
 
 
@@ -477,36 +486,6 @@ def bucket_candidate_pairs(group: pa.Table, *, threshold: float = 0.5
         "jaccard_est_milli": pa.array(
             (jv[keep] * 1000).astype(np.int64)),
     })
-
-
-def _dedupe_pairs_local(batch: pa.Table) -> pa.Table:
-    """Single-block distinct over (doc_a, doc_b) — pandas drop_duplicates
-    on two int columns."""
-    if batch.num_rows == 0:
-        return batch
-    df = batch.to_pandas().drop_duplicates(["doc_a", "doc_b"])
-    return pa.Table.from_pandas(df, preserve_index=False)
-
-
-def _verify_pairs_with_sigs(pairs: pa.Table, sig_lookup: dict,
-                            threshold: float) -> pa.Table:
-    """Signature-estimated Jaccard for candidate pairs; keep ≥
-    threshold."""
-    a_ids = pairs.column("doc_a").to_pylist()
-    b_ids = pairs.column("doc_b").to_pylist()
-    a_out, b_out, j_out = [], [], []
-    for a, b in zip(a_ids, b_ids):
-        sa, sb = sig_lookup.get(a), sig_lookup.get(b)
-        if sa is None or sb is None:
-            continue
-        jv = float((sa == sb).mean())
-        if jv >= threshold:
-            a_out.append(a)
-            b_out.append(b)
-            j_out.append(int(jv * 1000))
-    return pa.table({"doc_a": pa.array(a_out, pa.int64()),
-                     "doc_b": pa.array(b_out, pa.int64()),
-                     "jaccard_est_milli": pa.array(j_out, pa.int64())})
 
 
 def _sig_matrix(col: pa.ChunkedArray | pa.Array) -> np.ndarray:
@@ -730,9 +709,9 @@ def _cogroup_verify(sig_rows, cand, *, num_partitions: int,
 def _distinct_pairs(ds, extra_cols: tuple = ()):
     """Distributed distinct over (doc_a, doc_b[, extra]) — a hash
     groupby + count, exchange carries only the narrow key columns.
-    This is the default pair dedup: candidate sets on boilerplate-heavy
-    corpora can be a large fraction of the corpus, too big for one
-    block."""
+    The pair dedup of every near-dup plan: candidate sets on
+    boilerplate-heavy corpora can be a large fraction of the corpus,
+    too big for one block."""
     keys = ["doc_a", "doc_b", *extra_cols]
     out = ds.groupby(keys).count()
     return out.select_columns(keys)
@@ -740,9 +719,7 @@ def _distinct_pairs(ds, extra_cols: tuple = ()):
 
 def minhash_lsh_pairs(ds, *, num_perm=128, bands=16, rows=8,
                       shingle_words=3, threshold=0.5, seed=42,
-                      pair_dedup="shuffle",
-                      band_exchange="auto", verify="cogroup",
-                      num_partitions=None,
+                      band_exchange="auto", num_partitions=None,
                       auto_signatures_max_docs=100_000):
     """Full MinHash-LSH near-dup candidate pipeline over a documents
     Dataset → distinct (doc_a, doc_b, jaccard_est_milli).
@@ -754,8 +731,11 @@ def minhash_lsh_pairs(ds, *, num_perm=128, bands=16, rows=8,
       perms) use ``"signatures"`` (ONE shuffle, verification
       in-bucket, no extra passes); larger corpora use ``"ids"`` whose
       exchange is 1000x narrower.  Both plans are fully distributed
-      and driver-free; the choice costs one ``ds.count()``
-      (metadata-fast for parquet reads).  The 100k crossover is
+      and driver-free; the choice takes the row count from the
+      input's plan metadata (parquet footers: nothing runs), else
+      from the signatures (``state.sizing.row_count``: materialized
+      once, then reused by the band stage, so the upstream runs
+      once).  The 100k crossover is
       measured (round 5, post-vectorization, 40-token docs, 32 CPUs):
       50k docs — signatures 4.3 s vs ids 12.0 s; 100k — 18.0 vs
       16.5 s; 250k — 74 vs 29 s; 1M — 437 vs 162 s.  The old 1M gate
@@ -766,40 +746,34 @@ def minhash_lsh_pairs(ds, *, num_perm=128, bands=16, rows=8,
       (band_key, doc_id) — ~16 B/doc exchanged instead of
       bands x signature ≈ 16 KB/doc (a 1000x reduction; at 10^12 docs
       the difference is petabytes). Candidate pairs come out id-only
-      and are verified by joining the signatures back onto the pairs.
+      and are verified by joining the signatures back onto the pairs
+      with two bucketed distributed co-groups (``_cogroup_verify``:
+      attach sig_a by doc_a, then sig_b and the slot-agreement
+      estimate by doc_b).  Nothing pair-set-sized ever lands on the
+      driver — on boilerplate-heavy corpora the candidate set is
+      O(corpus).  (``Dataset.join`` would express the same attach, but
+      Ray 2.49's join operator builds 0-column tables for partitions
+      that receive no blocks on one side and ``pa.Table.join`` then
+      raises — the bucketed co-group avoids the operator entirely.)
     * ``"signatures"`` — the band rows carry signatures and buckets
       verify in place; avoids the second pass when candidate sets are
       a large fraction of the corpus.
 
-    ``verify`` (ids mode only) selects how signatures meet candidates:
-
-    * ``"cogroup"`` (default): two bucketed distributed co-groups
-      (``_cogroup_verify``: attach sig_a by doc_a, then sig_b and the
-      slot-agreement estimate by doc_b).  Fully lazy Dataset-out; nothing
-      pair-set-sized ever lands on the driver — on boilerplate-heavy
-      corpora the candidate set is O(corpus), so this is the only
-      shape that survives 10^12 docs.  (``Dataset.join`` would express
-      the same attach, but Ray 2.49's join operator builds 0-column
-      tables for partitions that receive no blocks on one side and
-      ``pa.Table.join`` then raises — the bucketed co-group avoids the
-      operator entirely.)
-    * ``"local"``: the small-N shortcut — candidate ids are pulled to
-      the driver, the candidates' signatures are semi-joined by a
-      broadcast membership filter, and verification runs in one local
-      dict.  EAGER and driver-memory-bounded; only for corpora whose
-      candidate set comfortably fits on the driver.
-
-    ``pair_dedup``: a pair can surface from several bands.
-    ``"shuffle"`` (default) dedups with a distributed hash groupby —
-    exchange carries two int64 columns; ``"local"`` coalesces into one
-    block and dedups with pandas (output-sized pair sets only).
+    A pair can surface from several bands; a distributed hash groupby
+    over the narrow pair columns keeps one of each.
     """
     import functools
-    import ray
     from ..state.sizing import default_pool_size
+    # stateless task stage, NOT an actor pool: the hasher state is
+    # two tiny arrays cached per worker process (_cached_hasher), so
+    # tasks start hashing immediately — no pool spin-up
+    sigs = ds.map_batches(
+        functools.partial(minhash_signatures, num_perm=num_perm,
+                          shingle_words=shingle_words, seed=seed),
+        batch_format="pyarrow")
     n_docs = None
     if band_exchange == "auto":
-        n_docs = ds.count()
+        sigs, n_docs = row_count(ds, "minhash_lsh_pairs", sigs)
         band_exchange = ("signatures"
                          if n_docs <= auto_signatures_max_docs
                          else "ids")
@@ -808,33 +782,12 @@ def minhash_lsh_pairs(ds, *, num_perm=128, bands=16, rows=8,
             num_partitions = partitions_for(n_docs, 10_000)
     if num_partitions is None:
         num_partitions = max(8, default_pool_size())
-    if "local" in (verify, pair_dedup):
-        # the local shortcuts coalesce to one task / pull candidate ids
-        # to the driver — fine for small corpora, an OOM at scale.
-        # Fail fast instead of letting a misconfigured 100 TB run wedge.
-        if n_docs is None:
-            n_docs = ds.count()
-        if n_docs > LOCAL_PATH_MAX_DOCS:
-            raise ValueError(
-                f"verify/pair_dedup='local' are small-N shortcuts "
-                f"(driver-memory-bounded); corpus has {n_docs} docs > "
-                f"ceiling {LOCAL_PATH_MAX_DOCS}. Use the default "
-                f"distributed plans (verify='cogroup', "
-                f"pair_dedup='shuffle').")
-    # stateless task stage, NOT an actor pool: the hasher state is
-    # two tiny arrays cached per worker process (_cached_hasher), so
-    # tasks start hashing immediately — no pool spin-up
-    sigs = ds.map_batches(
-        functools.partial(minhash_signatures, num_perm=num_perm,
-                          shingle_words=shingle_words, seed=seed),
-        batch_format="pyarrow")
     # coarse band buckets: ~100k band rows per reducer call, or
     # 8 x num_partitions when the corpus was not counted
     num_buckets = (max(64, 8 * num_partitions) if n_docs is None else
                    partitions_for(n_docs * bands, 100_000, floor=64,
                                   cap=1 << 20))
-    carry = band_exchange == "signatures"
-    if carry:
+    if band_exchange == "signatures":
         bandrows = sigs.map_batches(
             functools.partial(lsh_bands, bands=bands, rows=rows,
                               num_buckets=num_buckets),
@@ -843,16 +796,16 @@ def minhash_lsh_pairs(ds, *, num_perm=128, bands=16, rows=8,
             bandrows,
             functools.partial(bucket_candidate_pairs, threshold=threshold),
             num_partitions=num_partitions, n_rows=n_docs)
-        if pair_dedup == "shuffle":
-            # estimates are signature-determined, identical across
-            # bands → keying on all 3 columns is an exact distinct
-            return _distinct_pairs(pairs, ("jaccard_est_milli",))
-        return pairs.repartition(1).map_batches(
-            _dedupe_pairs_local, batch_format="pyarrow", batch_size=None)
+        # estimates are signature-determined, identical across
+        # bands → keying on all 3 columns is an exact distinct
+        return _distinct_pairs(pairs, ("jaccard_est_milli",))
 
     # scale shape: id-only band rows; signatures materialized once
-    # (block-level, stays in the object store) and joined back over
-    # the candidate pairs for verification
+    # (block-level, stays in the object store; a no-op when the count
+    # above already materialized them) and joined back over the
+    # candidate pairs for verification by TWO bucketed co-groups
+    # (attach sig_a by doc_a, then sig_b + verify by doc_b); no
+    # separate pre-dedup shuffle needed
     sigs = sigs.materialize()
     bandrows = sigs.map_batches(
         functools.partial(lsh_bands, bands=bands, rows=rows,
@@ -861,55 +814,15 @@ def minhash_lsh_pairs(ds, *, num_perm=128, bands=16, rows=8,
         batch_format="pyarrow")
     cand = exchange(bandrows, bucket_candidate_ids,
                     num_partitions=num_partitions, n_rows=n_docs)
-
-    if verify == "cogroup":
-        # TWO bucketed co-groups (attach sig_a by doc_a, then sig_b +
-        # verify by doc_b); no separate pre-dedup shuffle needed
-        cand, sigs = _prune_sigs_to_candidates(cand, sigs)
-        sig_rows = sigs.map_batches(
-            functools.partial(_cogroup_sig_rows,
-                              num_buckets=num_partitions),
-            batch_format="pyarrow")
-        return _cogroup_verify(sig_rows, cand,
-                               num_partitions=num_partitions,
-                               sig_width=num_perm * 8,
-                               threshold=threshold)
-
-    if pair_dedup == "shuffle":
-        cand = _distinct_pairs(cand)
-    else:
-        cand = cand.repartition(1).map_batches(
-            _dedupe_pairs_local, batch_format="pyarrow", batch_size=None)
-
-    # verify == "local": eager driver-side shortcut for small corpora
-    cand_rows = cand.take_all()
-    if not cand_rows:
-        import ray.data
-        return ray.data.from_arrow(pa.table({
-            "doc_a": pa.array([], pa.int64()),
-            "doc_b": pa.array([], pa.int64()),
-            "jaccard_est_milli": pa.array([], pa.int64())}))
-    wanted = {r["doc_a"] for r in cand_rows} | {r["doc_b"] for r in cand_rows}
-    # membership semi-join: only the candidates' signatures leave the
-    # signature dataset (wanted is pair-set-sized)
-    wanted_ref = ray.put(frozenset(wanted))
-
-    def pick(batch: pa.Table) -> pa.Table:
-        w = ray.get(wanted_ref)
-        return batch.filter(pa.compute.is_in(
-            batch.column("doc_id"),
-            value_set=pa.array(sorted(w), pa.int64())))
-
-    sig_rows = sigs.map_batches(pick, batch_format="pyarrow").take_all()
-    lookup = {r["doc_id"]: np.asarray(r["signature"], dtype=np.int64)
-              for r in sig_rows}
-    pairs_tbl = pa.table({
-        "doc_a": pa.array([r["doc_a"] for r in cand_rows], pa.int64()),
-        "doc_b": pa.array([r["doc_b"] for r in cand_rows], pa.int64()),
-    })
-    verified = _verify_pairs_with_sigs(pairs_tbl, lookup, threshold)
-    import ray.data
-    return ray.data.from_arrow(verified)
+    cand, sigs = _prune_sigs_to_candidates(cand, sigs)
+    sig_rows = sigs.map_batches(
+        functools.partial(_cogroup_sig_rows,
+                          num_buckets=num_partitions),
+        batch_format="pyarrow")
+    return _cogroup_verify(sig_rows, cand,
+                           num_partitions=num_partitions,
+                           sig_width=num_perm * 8,
+                           threshold=threshold)
 
 
 # ------------------------------------------------------------- SimHash
@@ -1098,35 +1011,22 @@ def simhash_bucket_pairs(group: pa.Table, *, max_hamming: int = 3
                      "hamming": pa.array(d_out, pa.int64())})
 
 
-def simhash_neardup_pairs(ds, *, max_hamming: int = 3, bands: int = 4,
-                          pair_dedup="shuffle"):
+def simhash_neardup_pairs(ds, *, max_hamming: int = 3, bands: int = 4):
     """SimHash near-dup pipeline over a documents Dataset:
     simhash → bit-band explode → groupby(band) → within-bucket Hamming
     → distinct (doc_a, doc_b, hamming). Exact for
     max_hamming <= bands-1 (pigeonhole); the only shuffle moves
-    (band_key, doc_id, simhash) rows.
-
-    ``pair_dedup="shuffle"`` (default) runs the distinct as a
-    distributed hash groupby over the narrow pair columns — pair sets
-    on near-identical-boilerplate corpora can be corpus-sized;
-    ``"local"`` coalesces into one block (small outputs only)."""
+    (band_key, doc_id, simhash) rows.  The distinct is a distributed
+    hash groupby over the narrow pair columns — pair sets on
+    near-identical-boilerplate corpora can be corpus-sized."""
     import functools
-    # one ds.count() (metadata-fast for parquet reads) serves both the
-    # local-path ceiling and the bucket sizing below
-    n_docs = ds.count()
-    if pair_dedup == "local" and n_docs > LOCAL_PATH_MAX_DOCS:
-        # same fail-fast ceiling as minhash_lsh_pairs: the one-block
-        # coalesce is a small-N shortcut, not a scale plan
-        raise ValueError(
-            f"pair_dedup='local' is a small-N shortcut; corpus has "
-            f"{n_docs} docs > ceiling {LOCAL_PATH_MAX_DOCS}. Use "
-            f"pair_dedup='shuffle'.")
+    sh = ds.map_batches(simhash_batch, batch_format="pyarrow")
+    sh, n_docs = row_count(ds, "simhash_neardup_pairs", sh)
     # coarse-bucket count from the corpus size so per-reducer input
     # tracks ~100k band rows at ANY corpus size — a fixed bucket count
     # would make the per-task working set O(N*bands/buckets), unbounded
     num_buckets = partitions_for(n_docs * bands, 100_000, floor=64,
                                  cap=1 << 20)
-    sh = ds.map_batches(simhash_batch, batch_format="pyarrow")
     bandrows = sh.map_batches(
         functools.partial(simhash_bands, bands=bands,
                           num_buckets=num_buckets),
@@ -1135,8 +1035,5 @@ def simhash_neardup_pairs(ds, *, max_hamming: int = 3, bands: int = 4,
         bandrows,
         functools.partial(simhash_bucket_pairs, max_hamming=max_hamming),
         num_partitions=partitions_for(n_docs, 10_000), n_rows=n_docs)
-    if pair_dedup == "shuffle":
-        # hamming is pair-determined → keying on all 3 is exact distinct
-        return _distinct_pairs(pairs, ("hamming",))
-    return pairs.repartition(1).map_batches(
-        _dedupe_pairs_local, batch_format="pyarrow", batch_size=None)
+    # hamming is pair-determined → keying on all 3 is exact distinct
+    return _distinct_pairs(pairs, ("hamming",))

@@ -27,6 +27,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..state.exchange import exchange, key_buckets
+from ..state.sizing import row_count
 
 
 def _sym_edges(batch: pa.Table) -> pa.Table:
@@ -254,7 +255,7 @@ def connected_components(pairs_ds, nodes_ds, *, num_partitions: int = 16,
     import ray.data
 
     if plan == "auto":
-        n_nodes = nodes_ds.count()
+        nodes_ds, n_nodes = row_count(nodes_ds, "connected_components")
         plan = ("broadcast" if n_nodes <= broadcast_max_nodes
                 else "cogroup")
     if plan == "broadcast":

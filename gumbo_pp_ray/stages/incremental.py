@@ -40,6 +40,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..state.exchange import exchange, partitions_for
+from ..state.sizing import row_count
 from .dedup import (
     _attach_a_group, _attach_b_group, _candidate_id_filter,
     _cogroup_sig_rows, _cogroup_verify, _distinct_pairs,
@@ -166,12 +167,14 @@ def minhash_lsh_pairs_incremental(new_ds, index_dir: str, *,
 
     ``band_exchange`` follows dedup.minhash_lsh_pairs's cost gate:
 
-    * ``"auto"`` — counts (index rows are parquet-metadata-fast; the
+    * ``"auto"`` — counts (index rows from the parquet footers; the
       new shard uses ``new_count_hint`` when given — an ingest loop
-      just wrote the shard, so it knows — else one ``new_ds.count()``,
-      itself metadata-fast for shards read straight from parquet):
-      up to ``auto_signatures_max_docs`` total uses ``"signatures"``,
-      above it ``"ids"``.
+      just wrote the shard, so it knows — else
+      ``state.sizing.row_count``: a parquet-read shard's footers, or
+      the new signatures materialized once for the band stage to
+      reuse): up to
+      ``auto_signatures_max_docs`` total uses ``"signatures"``, above
+      it ``"ids"``.
     * ``"signatures"`` — band rows carry signatures, in-bucket verify;
       one shuffle.
     * ``"ids"`` — band rows carry (band_key, doc_id, is_new) only
@@ -202,22 +205,26 @@ def minhash_lsh_pairs_incremental(new_ds, index_dir: str, *,
         batch_format="pyarrow")
     n_total = None
     if band_exchange == "auto" or num_partitions is None:
-        # index rows from parquet FOOTERS (no read tasks).  The new
-        # shard's count: ``new_count_hint`` when the caller knows it
-        # (an ingest loop just wrote the shard — it always does), else
-        # ``new_ds.count()`` — parquet-metadata-fast for shards read
-        # straight from files, one cheap no-hash pass otherwise.
-        # Round-4 shape (materialize the signatures, count blocks)
-        # was strictly worse: the materialize is a BARRIER that stops
-        # the signature stage overlapping the band shuffle (~2 s of
-        # the old 1.6-2.0x dedup_incr/dedup_minhash wall gap at
-        # sf0.1); skipped when the index alone exceeds the ceiling.
+        # index rows from parquet FOOTERS (no read tasks); the new
+        # shard's count from ``new_count_hint`` when the caller knows it
+        # (an ingest loop just wrote the shard), else row_count: the
+        # shard's own footers when it is a parquet read (nothing runs),
+        # otherwise one materialize of its signatures that the band
+        # stage reuses.  Skipped when the index alone exceeds the
+        # ceiling.  Measured for a lazy shard (20k-doc index + 8k-doc
+        # new shard, signatures plan, 4 CPUs, 6 runs a side) against
+        # ``new_ds.count()``, which ran the shard's upstream twice:
+        # the upstream now runs once and the median wall fell
+        # 5.22 → 4.87 s.
         import pyarrow.parquet as pq
         n_total = sum(pq.ParquetFile(f).metadata.num_rows
                       for f in idx_files)
         if n_total <= auto_signatures_max_docs or num_partitions is None:
-            n_total += (new_count_hint if new_count_hint is not None
-                        else new_ds.count())
+            if new_count_hint is None:
+                new_sigs_plain, new_count_hint = row_count(
+                    new_ds, "minhash_lsh_pairs_incremental",
+                    new_sigs_plain)
+            n_total += new_count_hint
         if band_exchange == "auto":
             band_exchange = ("signatures"
                              if n_total <= auto_signatures_max_docs

@@ -31,6 +31,7 @@ import pandas as pd
 import pyarrow as pa
 
 from ..state.exchange import exchange, key_buckets, partitions_for
+from ..state.sizing import row_count
 
 
 def _period_ids(batch: pa.Table, *, ts_col: str,
@@ -153,7 +154,8 @@ def session_windows(ds, *, key: str = "user_id", gap_sec: int = 1800,
         phase_sec = max(gap_sec * 16, 3600)
     if num_partitions is None:
         # ~100k events per partition: session rows are narrow
-        num_partitions = partitions_for(ds.count(), 100_000)
+        ds, n = row_count(ds, "session_windows")
+        num_partitions = partitions_for(n, 100_000)
     # phase 2 runs over SEGMENT rows (~sessions, orders of magnitude
     # fewer than events) — reusing the events-derived partition count
     # would pay the per-partition fixed sort cost hundreds of times

@@ -15,16 +15,23 @@ Sizing rules (each failure mode measured on a single node):
   so Ray's fixed cost per task (dispatch, and seeing the finish only
   after the next write or a 0.1 s ``ray.wait``) is paid a few times
   per run, not once per read block.
+* A plan gate that needs a row count asks ``row_count``: the input's
+  plan metadata when it knows the count (a parquet read: nothing
+  runs), else ONE materialize of the caller's narrow per-document
+  stage that its later stages reuse — a lazy upstream never runs
+  twice.
 """
 
 from __future__ import annotations
 
 import logging
-import os
 
 import ray
 
 log = logging.getLogger(__name__)
+
+#: Hot-stage size cap on a single node (see ``default_pool_size``).
+SINGLE_NODE_POOL_CAP = 24
 
 
 def default_pool_size(reserve: int = 2, floor: int = 2) -> int:
@@ -34,10 +41,10 @@ def default_pool_size(reserve: int = 2, floor: int = 2) -> int:
     alloc-heavy parse workers degrades beyond ~24 workers on one box
     (32-CPU medians at sf0.1: pool 24 → 5.3 s, pool 30 → 6.3 s; CPU
     steal + shared memory bandwidth, see BASELINE.md) — so when the
-    cluster is one node the size is capped at ``GRAFT_POOL_CAP``
-    (default 24).  Multi-node clusters are NEVER capped: concurrency
-    is cluster-wide there and must scale with total CPUs — each node
-    brings its own memory bandwidth."""
+    cluster is one node the size is capped at ``SINGLE_NODE_POOL_CAP``.
+    Multi-node clusters are NEVER capped: concurrency is cluster-wide
+    there and must scale with total CPUs — each node brings its own
+    memory bandwidth."""
     try:
         cpus = int(ray.cluster_resources().get("CPU", 4))
     except Exception:       # not initialised (pure-local unit tests)
@@ -47,12 +54,8 @@ def default_pool_size(reserve: int = 2, floor: int = 2) -> int:
         single_node = sum(1 for n in ray.nodes() if n.get("Alive")) <= 1
     except Exception:
         single_node = True
-    try:
-        cap = int(os.environ.get("GRAFT_POOL_CAP", "24"))
-    except ValueError:      # config typo must not kill every pipeline
-        cap = 24
-    if single_node and cap > 0:
-        size = min(size, max(floor, cap))
+    if single_node:
+        size = min(size, max(floor, SINGLE_NODE_POOL_CAP))
     return size
 
 
@@ -62,6 +65,38 @@ def default_concurrency(reserve: int = 2, floor: int = 2) -> tuple:
     return (1, default_pool_size(reserve, floor))
 
 
+def _plan_rows(ds) -> tuple:
+    """``(rows, size_bytes)`` from the plan's metadata — parquet
+    footers, ``from_arrow`` tables, a materialized dataset's blocks —
+    without executing anything; ``None`` for what the plan does not
+    know (e.g. rows after a ``map_batches``)."""
+    try:
+        meta = ds._logical_plan.dag.infer_metadata()
+        return meta.num_rows, meta.size_bytes
+    except AttributeError:      # a Ray upgrade moved the metadata
+        return None, None
+
+
+def row_count(ds, caller: str, derived=None) -> tuple:
+    """``(out, n)`` for a plan gate: ``n`` equals ``ds.count()``.
+    ``derived`` is a row-preserving map of ``ds`` that the caller
+    builds anyway (its narrowest per-document stage); ``out`` is
+    ``derived``, or ``ds`` when none is given.  When ``ds``'s plan
+    metadata knows the count, nothing executes and ``out`` comes back
+    unchanged; otherwise ``out`` comes back materialized and ``n`` is
+    its block-metadata count, so the caller's later stages reuse the
+    blocks instead of re-running the upstream.  Logs the number and
+    where it came from."""
+    out = ds if derived is None else derived
+    n, _ = _plan_rows(ds)
+    source = "plan"
+    if n is None:
+        out = out.materialize()
+        n, source = out.count(), "materialized"
+    log.info("%s: rows=%d source=%s", caller, n, source)
+    return out, n
+
+
 def rows_per_task(ds, concurrency: int, floor: int | None) -> int | None:
     """Rows per task of a ``concurrency``-wide stage over ``ds``:
     ``max(floor, ceil(rows / (2 * concurrency)))``, capped at one
@@ -69,12 +104,8 @@ def rows_per_task(ds, concurrency: int, floor: int | None) -> int | None:
     (parquet footers), never an execution; unknown rows (e.g. after a
     ``map_batches``) give ``floor``; ``floor=None`` (one task per input
     block) stays ``None``.  Logs the decision."""
-    try:
-        meta = ds._logical_plan.dag.infer_metadata()
-        rows, size = meta.num_rows, meta.size_bytes
-        cap = ds.context.target_max_block_size
-    except AttributeError:      # a Ray upgrade moved the metadata
-        rows = size = cap = None
+    rows, size = _plan_rows(ds)
+    cap = ds.context.target_max_block_size
     n = floor
     if rows and floor is not None:
         n = max(floor, -(-rows // (2 * concurrency)))

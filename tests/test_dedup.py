@@ -255,40 +255,6 @@ def test_minhash_band_exchange_modes_agree(ray_session, dup_corpus):
         assert p in found
 
 
-def test_local_shortcuts_guarded(ray_session, monkeypatch):
-    """verify='local' / pair_dedup='local' refuse corpora above the
-    documented ceiling instead of OOMing the driver at scale."""
-    import pyarrow as pa
-    import pytest
-    import ray.data
-    from gumbo_pp_ray.stages import dedup
-
-    t = pa.table({"doc_id": pa.array(range(50), pa.int64()),
-                  "text": [f"doc number {i} words here" for i in range(50)]})
-    ds = ray.data.from_arrow(t)
-    monkeypatch.setattr(dedup, "LOCAL_PATH_MAX_DOCS", 10)
-    with pytest.raises(ValueError, match="small-N"):
-        dedup.minhash_lsh_pairs(ds, band_exchange="ids", verify="local")
-    with pytest.raises(ValueError, match="small-N"):
-        dedup.minhash_lsh_pairs(ds, band_exchange="signatures",
-                                pair_dedup="local")
-
-
-def test_simhash_local_shortcut_guarded(ray_session, monkeypatch):
-    """simhash_neardup_pairs(pair_dedup='local') above the ceiling
-    raises the documented ValueError, naming the corpus size (it used
-    to format the count before assigning it: UnboundLocalError)."""
-    import ray.data
-    from gumbo_pp_ray.stages import dedup
-
-    t = pa.table({"doc_id": pa.array(range(50), pa.int64()),
-                  "text": [f"doc number {i} words here" for i in range(50)]})
-    monkeypatch.setattr(dedup, "LOCAL_PATH_MAX_DOCS", 10)
-    with pytest.raises(ValueError, match="corpus has 50 docs"):
-        dedup.simhash_neardup_pairs(ray.data.from_arrow(t),
-                                    pair_dedup="local")
-
-
 def test_cogroup_verify_prune_equivalence(ray_session, monkeypatch):
     """The cost-gated candidate semi-join prune must not change the
     ids-plan output: identical pairs with the prune forced ON
