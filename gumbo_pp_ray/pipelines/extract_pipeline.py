@@ -4,7 +4,7 @@ Topology (SURVEY.md §3.4) — PURE MAP, no exchange::
 
     read (column-pruned)
       → map_batches(extract_batch, tasks)     # fused assemble+parse+extract
-      → write_parquet (wave-partitioned, atomic, resumable)
+      → _WaveSink (ok rows → wave, others → quarantine; atomic, resumable)
 
 Each input row stays a complete document through extraction, so
 nothing is grouped or exchanged. Mega-doc skew is handled inside the
@@ -18,7 +18,8 @@ Two execution shapes:
 * ``run_extraction(input, out)`` — checkpoint-resumable job: input
   shards are processed in waves; each wave's output directory is
   written to a temp name and atomically renamed, with a lineage
-  manifest (input files, counters, wall time) under ``_lineage/``.
+  manifest (input files, counters, wall time) under ``_lineage/`` and
+  its non-ok rows under ``_quarantine/``.
   A rerun skips completed waves (SURVEY.md §4.2 checkpoint/resume).
 """
 
@@ -29,8 +30,15 @@ import json
 import os
 import time
 import uuid
+from collections import Counter
 
+import pyarrow as pa
+import pyarrow.compute as pc
 import ray.data
+from ray.data._internal.datasource.lance_datasink import LanceDatasink
+from ray.data._internal.datasource.parquet_datasink import ParquetDatasink
+from ray.data.block import BlockAccessor
+from ray.data.datasource import Datasink, WriteResult
 
 from ..html.extract import DEFAULT_PROFILE, ExtractProfile
 from ..sources.io import list_input_files, read_interleaved
@@ -79,10 +87,6 @@ def extract_dataset(
     )
 
 
-def _wave_name(i: int) -> str:
-    return f"wave-{i:05d}"
-
-
 def shutil_rmtree(path: str):
     import shutil
     shutil.rmtree(path, ignore_errors=True)
@@ -96,17 +100,12 @@ _TMP_SWEEP_MIN_AGE_SEC = 3600
 
 
 def _sweep_stale_tmps(out_dir: str, name: str):
-    """Remove orphan tmp dirs for a COMMITTED wave (crashed runs'
-    partial writes; the wave's data is already final, so a remaining
-    OLD tmp for it is garbage — recent tmps are left alone in case a
-    concurrent run is still writing them).  Also matches the
-    pre-round-5 un-suffixed `_tmp-{name}` form."""
-    candidates = glob.glob(os.path.join(out_dir, f"_tmp-{name}-*"))
-    legacy = os.path.join(out_dir, f"_tmp-{name}")
-    if os.path.isdir(legacy):
-        candidates.append(legacy)
+    """Remove orphan tmp dirs (wave and quarantine) for a COMMITTED
+    wave: crashed runs' partial writes; the wave's data is already
+    final, so a remaining OLD tmp for it is garbage — recent tmps are
+    left alone in case a concurrent run is still writing them."""
     now = time.time()
-    for stale in candidates:
+    for stale in glob.glob(os.path.join(out_dir, f"_tmp-{name}-*")):
         try:
             age = now - os.path.getmtime(stale)
         except OSError:
@@ -145,6 +144,57 @@ def _claim_run_config(out_dir: str, config: dict):
         f.write(text)
 
 
+class _WaveSink(Datasink):
+    """One write per wave: each task sends its ``ok`` rows to
+    ``ok_sink`` (the output format's own sink) and the rest to a parquet
+    sink at ``quarantine_dir``, and returns its counters (rows by
+    status; ``spans``, ``parse_errors`` over ok rows).  At the end each
+    inner sink completes on its own returns (Lance commits fragments,
+    parquet drops a dir it wrote no row to) and ``counts`` sums them."""
+
+    def __init__(self, ok_sink: Datasink, quarantine_dir: str):
+        self.sinks = {"ok": ok_sink,
+                      "quarantine": ParquetDatasink(quarantine_dir)}
+        self.counts: Counter = Counter()
+
+    def on_write_start(self):
+        for sink in self.sinks.values():
+            sink.on_write_start()
+
+    def write(self, blocks, ctx):
+        # a zero-row block may carry no columns at all
+        tables = [BlockAccessor.for_block(b).to_arrow() for b in blocks]
+        tables = [t for t in tables if t.num_rows]
+        if not tables:
+            return Counter(), {k: (0, 0, None) for k in self.sinks}
+        t = pa.concat_tables(tables)
+        ok = pc.equal(t["status"], "ok")
+        parts = {"ok": t.filter(ok), "quarantine": t.filter(pc.invert(ok))}
+        counts = Counter(t["status"].to_pylist())
+        counts["spans"] = pc.sum(parts["ok"]["n_spans"]).as_py() or 0
+        counts["parse_errors"] = pc.sum(
+            parts["ok"]["n_parse_errors"]).as_py() or 0
+        return counts, {
+            k: (p.num_rows, p.nbytes,
+                self.sinks[k].write(iter([p]), ctx) if p.num_rows else None)
+            for k, p in parts.items()}
+
+    def on_write_complete(self, write_result: WriteResult):
+        for k, sink in self.sinks.items():
+            done = [r[1][k] for r in write_result.write_returns]
+            sink.on_write_complete(WriteResult(
+                sum(n for n, _b, _r in done), sum(b for _n, b, _r in done),
+                [r for _n, _b, r in done if r is not None]))
+        for counts, _ in write_result.write_returns:
+            self.counts.update(counts)
+
+
+def _add_wave(summary: dict, manifest: dict, outcome: str):
+    summary[outcome] += 1
+    for k in ("docs", "spans", "errors"):
+        summary[k] += manifest.get(k, 0)
+
+
 def run_extraction(
     input_path: str,
     out_dir: str,
@@ -165,11 +215,14 @@ def run_extraction(
     parquet/lance shards exist); archives stream through
     ``sources.warc`` and the resume unit is the archive.
 
-    ``output_format="lance"`` writes each wave as a Lance dataset
-    (the north rule's storage target) when the ``lance`` wheel is
-    importable — raises ImportError otherwise (this sandbox ships no
-    lance); ``"parquet"`` (default) writes identically-shaped parquet.
-    Wave commit/resume semantics are format-independent.
+    Each wave is one write: ``ok`` rows to the wave dir, the rest
+    (``oversize``, ``error``) to ``_quarantine/<wave>/`` as parquet; the
+    manifest's counters (``quarantined`` by status too) come from the
+    write tasks.  ``output_format="lance"`` writes the wave dir through
+    Ray's Lance sink (the north rule's storage target), which raises
+    ImportError without the ``lance`` wheel; ``"parquet"`` (default)
+    writes identically-shaped parquet.  Commit/resume semantics are
+    format-independent.
 
     ``batch_size`` is the rows per kernel call; the rows per task are
     derived from each wave's row count (see ``extract_dataset``).
@@ -197,8 +250,7 @@ def run_extraction(
     kinds = {os.path.splitext(f)[1] for f in files}
     if len(kinds) > 1:
         # a mixed parquet/lance dir (e.g. mid format-conversion) would
-        # produce waves whose files feed the wrong reader — fail
-        # loudly instead of crashing mid-wave
+        # feed some waves' files to the wrong reader
         raise ValueError(
             f"mixed input shard formats under {input_path}: "
             f"{sorted(kinds)}; run each format separately")
@@ -217,7 +269,7 @@ def run_extraction(
     summary = {"waves_total": len(waves), "waves_run": 0,
                "waves_skipped": 0, "docs": 0, "spans": 0, "errors": 0}
     for i, wave_files in enumerate(waves):
-        name = _wave_name(i)
+        name = f"wave-{i:05d}"
         final_dir = os.path.join(out_dir, name)
         manifest_path = os.path.join(lineage_dir, f"{name}.json")
         if resume and os.path.exists(manifest_path) and os.path.isdir(final_dir):
@@ -227,20 +279,14 @@ def run_extraction(
             if committed is not None and committed != wave_files:
                 # the input set changed under resume: wave boundaries
                 # shifted, so skipping by index would silently drop
-                # some shards and double-process others.  Fail loudly —
-                # resume is only valid over the exact input set that
-                # produced the manifests (use a fresh out_dir after
-                # adding shards).
+                # some shards and double-process others
                 raise ValueError(
                     f"resume mismatch for {name}: manifest was written "
                     f"for {len(committed)} input file(s) that differ "
                     f"from the current wave composition ({len(wave_files)}"
                     f" file(s)). The input set changed since the run "
                     f"being resumed; write to a fresh out_dir.")
-            summary["waves_skipped"] += 1
-            summary["docs"] += m.get("docs", 0)
-            summary["spans"] += m.get("spans", 0)
-            summary["errors"] += m.get("errors", 0)
+            _add_wave(summary, m, "waves_skipped")
             _sweep_stale_tmps(out_dir, name)
             continue
         if os.path.isdir(final_dir):
@@ -272,110 +318,64 @@ def run_extraction(
                               concurrency=concurrency,
                               batch_size=wave_batch_size,
                               max_doc_bytes=max_doc_bytes)
-        # PER-RUN-UNIQUE tmp name: two runs racing on the same out_dir
-        # must never share a tmp path — a shared path let one run's
-        # stale-cleanup rmtree delete the other's IN-FLIGHT write and
-        # produced a committed wave with mixed-run part files (observed
-        # live in the round-5 drill).  With unique tmps, committed
-        # waves are always single-writer; a racing loser adopts the
-        # winner's manifest at os.replace time (below) or errors — it
-        # can never corrupt committed data.  Crashed runs' orphan tmps
-        # are swept after this wave commits (_sweep_stale_tmps).
+        # PER-RUN-UNIQUE tmp names (the wave and its quarantine): a
+        # tmp shared by two racing runs let one delete the other's
+        # in-flight write (a committed wave with mixed-run part files,
+        # seen in the round-5 drill).  Committed waves are single-
+        # writer; crashed runs' orphan tmps are swept after the commit.
         tmp_dir = os.path.join(out_dir,
                                f"_tmp-{name}-{uuid.uuid4().hex[:8]}")
-        # ONE fully-streamed pass: extract → write (the executor
-        # pipelines read/parse/write; materializing here would serialize
-        # the phases and hold the whole wave in the object store —
-        # measured 3x slower end-to-end).
-        if output_format == "lance":
-            import lance  # noqa: F401  (raises if unavailable)
-            out.write_lance(tmp_dir)
-        else:
-            out.write_parquet(tmp_dir)
-        if not os.path.isdir(tmp_dir):
-            # a ZERO-ROW wave writes nothing and creates no directory
-            # (e.g. WARC archives with no 200 text/html records under
-            # html_only) — commit an empty wave dir so resume skips it
-            # instead of crashing on the accounting read
-            os.makedirs(tmp_dir)
-            stats = {"count()": 0, "spans": 0, "perr": 0}
-            n_err = 0
-        else:
-            # post-write accounting from the WRITTEN files: a narrow
-            # column-pruned read of the counters, no re-extraction
-            if output_format == "lance":
-                written = ray.data.read_lance(
-                    tmp_dir,
-                    columns=["status", "n_spans", "n_parse_errors"])
-            else:
-                written = ray.data.read_parquet(
-                    tmp_dir,
-                    columns=["status", "n_spans", "n_parse_errors"])
-            # counters over ok rows (error rows carry sentinel -1s);
-            # count over everything
-            stats = written.filter(expr="status == 'ok'").aggregate(
-                ray.data.aggregate.Count(),
-                ray.data.aggregate.Sum("n_spans", alias_name="spans"),
-                ray.data.aggregate.Sum("n_parse_errors",
-                                       alias_name="perr"),
-            )
-            n_err = written.count() - int(stats["count()"] or 0)
-        if n_err:
-            # rare path: split the written wave into clean + quarantine
-            # (format-aware: the clean wave must match output_format;
-            # the quarantine sidecar is for inspection and stays
-            # parquet either way)
-            qdir = os.path.join(out_dir, "_quarantine", name)
-            shutil_rmtree(qdir)
-            full = (ray.data.read_lance(tmp_dir)
-                    if output_format == "lance"
-                    else ray.data.read_parquet(tmp_dir))
-            full.filter(expr="status != 'ok'").write_parquet(qdir)
-            clean_dir = tmp_dir + "-clean"
-            shutil_rmtree(clean_dir)
-            clean = full.filter(expr="status == 'ok'")
-            if output_format == "lance":
-                clean.write_lance(clean_dir)
-            else:
-                clean.write_parquet(clean_dir)
-            shutil_rmtree(tmp_dir)
-            tmp_dir = clean_dir
-        # atomic commit of the wave — tolerant of a CONCURRENT run on
-        # the same out_dir (a lingering prior driver, or two retries
-        # racing): os.replace onto an existing non-empty directory
-        # raises, and before round 5 that crashed the losing run
-        # (observed in the 1M-page drill when a presumed-dead driver
-        # was still committing).  First commit wins; the loser's
-        # output is byte-identical (same inputs, the run config pinned
-        # by _claim_run_config, deterministic extraction), so it is
-        # discarded and the wave counted from the winner's manifest.
+        # ONE streamed pass: extract → split by status → write
+        # (materializing would serialize the phases and hold the wave
+        # in the object store — measured 3x slower); the counters come
+        # back from the write tasks, nothing reads the wave back.
+        qtmp_dir = tmp_dir + "-q"
+        sink_cls = (LanceDatasink if output_format == "lance"
+                    else ParquetDatasink)
+        sink = _WaveSink(sink_cls(tmp_dir), qtmp_dir)
+        out.write_datasink(sink)
+        # a sink that wrote no row leaves no dir (e.g. WARC archives
+        # with no 200 text/html records under html_only): commit an
+        # empty wave dir so resume skips it
+        os.makedirs(tmp_dir, exist_ok=True)
+        # atomic commit, tolerant of a CONCURRENT run on the same
+        # out_dir (a lingering driver, racing retries): os.replace onto
+        # a non-empty dir raises, and the first commit wins.  The
+        # loser's output is byte-identical (same inputs, the run config
+        # pinned by _claim_run_config, deterministic extraction), so it
+        # drops its tmps and counts the wave from the winner's manifest.
         try:
             os.replace(tmp_dir, final_dir)
         except OSError:
             if os.path.exists(manifest_path):
-                # another run committed this wave while we processed
-                # it: adopt its manifest, drop our redundant copy
+                # another run committed this wave: adopt its manifest
                 shutil_rmtree(tmp_dir)
+                shutil_rmtree(qtmp_dir)
                 with open(manifest_path) as f:
-                    m = json.load(f)
-                summary["waves_skipped"] += 1
-                summary["docs"] += m.get("docs", 0)
-                summary["spans"] += m.get("spans", 0)
-                summary["errors"] += m.get("errors", 0)
+                    _add_wave(summary, json.load(f), "waves_skipped")
                 _sweep_stale_tmps(out_dir, name)
                 continue
             # final_dir without a manifest: a crashed run's rename
             # window — clear it and retry once (raises if still stuck)
             shutil_rmtree(final_dir)
             os.replace(tmp_dir, final_dir)
+        if os.path.isdir(qtmp_dir):
+            # this run won the wave: publish its quarantine (replacing
+            # a crashed run's copy for this uncommitted wave)
+            qdir = os.path.join(out_dir, "_quarantine", name)
+            shutil_rmtree(qdir)
+            os.makedirs(os.path.dirname(qdir), exist_ok=True)
+            os.replace(qtmp_dir, qdir)
+        c = sink.counts
         manifest = {
             "wave": name,
             "input_files": wave_files,
-            "docs": int(stats["count()"] or 0) + int(n_err),
-            "docs_ok": int(stats["count()"] or 0),
-            "spans": int(stats["spans"] or 0),
-            "parse_errors": int(stats["perr"] or 0),
-            "errors": int(n_err),
+            "docs": c["ok"] + c["oversize"] + c["error"],
+            "docs_ok": c["ok"],
+            "spans": c["spans"],
+            "parse_errors": c["parse_errors"],
+            "errors": c["oversize"] + c["error"],
+            "quarantined": {"oversize": c["oversize"], "error": c["error"]},
             "wall_sec": round(time.perf_counter() - t0, 3),
             # Dataset.stats() excerpt (SURVEY.md §4.2 metrics): per-
             # stage wall/cpu/rows for post-hoc performance forensics
@@ -385,8 +385,5 @@ def run_extraction(
             json.dump(manifest, f, indent=1)
         os.replace(manifest_path + ".tmp", manifest_path)
         _sweep_stale_tmps(out_dir, name)
-        summary["waves_run"] += 1
-        summary["docs"] += manifest["docs"]
-        summary["spans"] += manifest["spans"]
-        summary["errors"] += manifest["errors"]
+        _add_wave(summary, manifest, "waves_run")
     return summary

@@ -221,6 +221,9 @@ def test_run_extraction_quarantine(ray_session, tmp_path):
     bad = ray.data.read_parquet(list_input_files(qdir))
     assert bad.count() == s["errors"]
     assert set(r["status"] for r in bad.take_all()) == {"oversize"}
+    with open(os.path.join(out, "_lineage", "wave-00000.json")) as f:
+        assert json.load(f)["quarantined"] == {"oversize": s["errors"],
+                                               "error": 0}
     # clean output contains only ok rows (filter on the path RELATIVE
     # to the run dir — the absolute tmp path itself contains the
     # substring "_quarantine" via the test name)
@@ -560,6 +563,108 @@ def test_wave_commit_race_first_wins(ray_session, tmp_path, monkeypatch):
     # the loser adopted the winner's manifest: no crash, wave counted
     assert s["waves_skipped"] == 1 and s["errors"] == 0
     assert s["docs"] == 6
+
+
+def write_wrapped_shards(path: str, shards: list[list[tuple[str, str]]]):
+    """One interleaved parquet shard per list of ``(doc_id, text)``."""
+    import pyarrow.parquet as pq
+
+    from gumbo_pp_ray.pipelines.wrap import wrap_documents
+
+    os.makedirs(path)
+    for i, rows in enumerate(shards):
+        docs = pa.table({"doc_id": [d for d, _ in rows],
+                         "text": [t for _, t in rows],
+                         "lang": ["en"] * len(rows),
+                         "source": ["t"] * len(rows)})
+        pq.write_table(wrap_documents(docs),
+                       os.path.join(path, f"shard-{i}.parquet"))
+
+
+def test_wave_commit_race_loser_keeps_winner_quarantine(ray_session,
+                                                        tmp_path,
+                                                        monkeypatch):
+    """A racing run commits the wave, its manifest and its quarantine
+    while this run extracts the same wave: this run must adopt the
+    manifest and leave the winner's quarantine alone.  Only the run
+    whose wave commit succeeds publishes its quarantine."""
+    from gumbo_pp_ray.pipelines import extract_pipeline as ep
+
+    inp, out = str(tmp_path / "in"), str(tmp_path / "out")
+    write_wrapped_shards(inp, [[("a", "a few words"),
+                                ("b", "word " * 1000)]])
+    qdir = os.path.join(out, "_quarantine", "wave-00000")
+    real_extract = ep.extract_dataset
+
+    def winner_commits_first(ds, **kw):
+        os.makedirs(os.path.join(out, "wave-00000"))
+        os.makedirs(qdir)
+        for path in (os.path.join(out, "wave-00000", "part-0.parquet"),
+                     os.path.join(qdir, "winner.parquet")):
+            with open(path, "wb") as f:
+                f.write(b"winner")
+        with open(os.path.join(out, "_lineage", "wave-00000.json"),
+                  "w") as f:
+            json.dump({"wave": "wave-00000", "docs": 2, "spans": 3,
+                       "errors": 1}, f)
+        return real_extract(ds, **kw)
+
+    monkeypatch.setattr(ep, "extract_dataset", winner_commits_first)
+    s = ep.run_extraction(inp, out, concurrency=2, max_doc_bytes=2000)
+    assert s["waves_skipped"] == 1 and s["waves_run"] == 0
+    assert s["docs"] == 2 and s["errors"] == 1
+    assert os.listdir(qdir) == ["winner.parquet"]
+    assert not [d for d in os.listdir(out) if d.startswith("_tmp-")]
+
+
+def test_run_extraction_commits_each_wave_in_one_pass(ray_session,
+                                                      tmp_path,
+                                                      monkeypatch):
+    """A wave's counters come from the tasks that write it: nothing
+    filters, aggregates or counts the written wave.  The manifest
+    matches a recount of the committed files and of the quarantine,
+    and a clean wave leaves no quarantine dir."""
+    import glob
+
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+    import ray.data
+
+    from gumbo_pp_ray.pipelines.extract_pipeline import run_extraction
+
+    inp, out = str(tmp_path / "in"), str(tmp_path / "out")
+    write_wrapped_shards(inp, [
+        [(f"d{i}", "word " * 1000 if i % 3 == 0 else f"doc {i} words")
+         for i in range(9)],
+        [(f"e{i}", f"clean doc {i}") for i in range(5)]])
+
+    def second_pass(*_a, **_kw):
+        raise AssertionError("a second pass over the written wave")
+    for method in ("filter", "aggregate", "count"):
+        monkeypatch.setattr(ray.data.Dataset, method, second_pass)
+    s = run_extraction(inp, out, files_per_wave=1, concurrency=2,
+                       max_doc_bytes=2000)
+    assert s["waves_run"] == 2 and s["docs"] == 14 and s["errors"] == 3
+
+    def read(d):
+        return pa.concat_tables([pq.read_table(f) for f in sorted(
+            glob.glob(os.path.join(d, "*.parquet")))])
+    for wave, n_bad in (("wave-00000", 3), ("wave-00001", 0)):
+        with open(os.path.join(out, "_lineage", f"{wave}.json")) as f:
+            m = json.load(f)
+        good = read(os.path.join(out, wave))
+        assert good["status"].unique().to_pylist() == ["ok"]
+        qdir = os.path.join(out, "_quarantine", wave)
+        assert os.path.isdir(qdir) == bool(n_bad)
+        bad = read(qdir)["status"].to_pylist() if n_bad else []
+        assert len(bad) == n_bad
+        assert m["docs"] == good.num_rows + len(bad)
+        assert m["docs_ok"] == good.num_rows
+        assert m["spans"] == pc.sum(good["n_spans"]).as_py()
+        assert m["parse_errors"] == pc.sum(good["n_parse_errors"]).as_py()
+        assert m["errors"] == len(bad)
+        assert m["quarantined"] == {"oversize": bad.count("oversize"),
+                                    "error": bad.count("error")}
 
 
 def test_run_extraction_resume_rejects_changed_input(ray_session,

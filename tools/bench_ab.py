@@ -10,8 +10,10 @@ first on odd seeds and this checkout first on even ones.
 
 Prints one JSON line per run (side, seed, ``correct``, ``failed`` and
 the metrics), then one line per metric: both medians, the parent's
-quartiles, the pairs the new side wins, the median gain, and whether
-that gain exceeds the parent's quartile spread.  The metrics and their
+quartiles, the pairs the new side wins, the median gain, whether
+that gain exceeds the parent's quartile spread, and each seed's
+new/parent ratio with the ratios' quartiles (a paired view: the seed's
+own speed cancels out of its ratio).  The metrics and their
 directions come from ``BENCHMARK.json`` (``end_to_end`` for
 ``--trace 0``, ``per_layer`` for ``--trace 1``).
 """
@@ -53,13 +55,18 @@ def summary(name: str, higher: bool, parent: list[float],
     p_med, n_med = statistics.median(parent), statistics.median(new)
     q1, q3 = quartiles(parent)
     gain = sign * (n_med - p_med)
+    ratios = [n / p for p, n in zip(parent, new) if p]
+    r_q1, r_q3 = quartiles(ratios) if ratios else (None, None)
     return {"metric": name, "better": "higher" if higher else "lower",
             "parent_median": p_med, "new_median": n_med,
             "parent_q1": q1, "parent_q3": q3,
             "wins": sum(sign * (n - p) > 0 for p, n in zip(parent, new)),
             "pairs": len(parent),
             "median_gain_frac": round(gain / p_med, 4) if p_med else None,
-            "gain_exceeds_parent_iqr": gain > q3 - q1}
+            "gain_exceeds_parent_iqr": gain > q3 - q1,
+            "ratios": [round(r, 4) for r in ratios],
+            "ratio_q1_median_q3": [round(r, 4) for r in (
+                r_q1, statistics.median(ratios), r_q3)] if ratios else None}
 
 
 def main(argv=None):
