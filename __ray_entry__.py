@@ -25,27 +25,9 @@ import pyarrow as pa
 _SF0001 = "/root/testdata/sf0.001"
 
 
-def _qconc():
-    """Autoscaling actor-pool bounds ``(1, cpus-2)`` for the actor
-    stages of the doc-annotation, sketch and broadcast-membership
-    queries.
-
-    The driver runs ~60 queries sequentially in ONE Ray session; each
-    fixed-size pool waits for its full actor complement before
-    processing, and slow teardown of the previous query's pool can
-    starve that wait forever (observed livelock after ~37 sequential
-    queries).  Autoscaling pools start with one actor and never wait,
-    and sf0.01 correctness runs are too short for the fixed-pool
-    steady-state advantage to matter.  Extraction builds no pool: it
-    is a task stage sized by ``default_pool_size()``.
-    """
-    from gumbo_pp_ray.state.sizing import default_concurrency
-    return default_concurrency()
-
-
 def _docs(sf_dir: str, columns=("doc_id", "text", "lang", "source")):
     # small-sf tables are a single row group = ONE Ray block; split so
-    # actor pools parallelize instead of serializing on one task
+    # the per-doc stages parallelize instead of serializing on one task
     from gumbo_pp_ray.sources.io import read_parquet_clean
     return read_parquet_clean(
         os.path.join(sf_dir, "documents.parquet"), columns=list(columns),
@@ -293,33 +275,24 @@ def _q_quality_score(sf_dir: str):
     (stages/lm.py — trained on this corpus with the default bounds,
     scored per doc) in one row per document, both pinned by the exact
     DuckDB oracle (the SQL recomputes add-one-smoothed bigram
-    perplexity from the same thresholded model).  One fused actor
+    perplexity from the same thresholded model).  One fused task
     stage: model broadcast once, heuristic + ppl computed per batch —
     no join, no extra shuffle."""
     import ray
-    from gumbo_pp_ray.stages.lm import (PerplexityScore,
-                                        train_bigram_lm)
+    from gumbo_pp_ray.stages.lm import perplexity_batch, train_bigram_lm
     from gumbo_pp_ray.stages.text_analysis import QualityScore
-    from gumbo_pp_ray.state.sizing import default_concurrency
 
     model = train_bigram_lm(_docs(sf_dir, ("doc_id", "text")))
     model_ref = ray.put(model)
 
-    class QualityWithPpl:
-        def __init__(self):
-            self.heur = QualityScore()
-            self.ppl = PerplexityScore(model_ref)
+    def quality_with_ppl(batch: pa.Table) -> pa.Table:
+        pt = perplexity_batch(batch, model_ref=model_ref)
+        return QualityScore()(batch).append_column(
+            "ppl_milli", pt.column("ppl_milli")).append_column(
+            "n_transitions", pt.column("n_transitions"))
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            qt = self.heur(batch)
-            pt = self.ppl(batch)
-            return qt.append_column(
-                "ppl_milli", pt.column("ppl_milli")).append_column(
-                "n_transitions", pt.column("n_transitions"))
-
-    return _docs(sf_dir).map_batches(
-        QualityWithPpl, batch_format="pyarrow",
-        concurrency=default_concurrency())
+    return _docs(sf_dir).map_batches(quality_with_ppl,
+                                     batch_format="pyarrow")
 
 
 def _tag_lit(col: str, value: str):
@@ -370,16 +343,13 @@ def _q_doc_annotations(sf_dir: str):
     The winnowing-fingerprint half of the old compound (CRC rolling
     hash, not SQL-expressible) moved to the simhash_all sketch
     family."""
-    class Annotate:
-        def __init__(self):
-            from gumbo_pp_ray.stages.text_analysis import LangId
-            self.lang = LangId()
+    from gumbo_pp_ray.stages.text_analysis import LangId
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            return self.lang(batch)
+    def annotate(batch: pa.Table) -> pa.Table:
+        return LangId()(batch)
 
     return _docs(sf_dir, ("doc_id", "text")).map_batches(
-        Annotate, batch_format="pyarrow", concurrency=_qconc())
+        annotate, batch_format="pyarrow")
 
 
 def _q_simhash_all(sf_dir: str):
@@ -390,38 +360,29 @@ def _q_simhash_all(sf_dir: str):
     v=n_fingerprints — moved here from doc_annotations so langid
     could go exact; fingerprints are CRC-rolling sketches like the
     rest of this family).  Rows-only by nature (bit sketches)."""
-    from gumbo_pp_ray.stages.dedup import simhash_neardup_pairs
+    from gumbo_pp_ray.stages.dedup import simhash_batch, simhash_neardup_pairs
+    from gumbo_pp_ray.stages.text_analysis import Fingerprint
 
-    class Sketches:
+    def sketches(t: pa.Table) -> pa.Table:
         """One per-doc pass emitting BOTH sketch kinds (simhash bits +
-        fingerprint counts) — one actor pool and one read instead of
-        two (a third union branch at 8 driver CPUs starved the
-        executor; two branches are the proven shape)."""
+        fingerprint counts) — one stage and one read instead of two (a
+        third union branch at 8 driver CPUs starved the executor; two
+        branches are the proven shape)."""
+        ids = t.column("doc_id").cast("int64")
+        h = simhash_batch(t)
+        f = Fingerprint()(t)
+        n = len(t)
+        return pa.table({
+            "a": pa.chunked_array([ids, ids]),
+            "b": pa.array([-1] * (2 * n), pa.int64()),
+            "v": pa.chunked_array([
+                h.column("simhash"),
+                f.column("n_fingerprints").cast(pa.int64()),
+            ]),
+            "kind": pa.array(["hash"] * n + ["fp"] * n, pa.string()),
+        })
 
-        def __init__(self):
-            from gumbo_pp_ray.stages.dedup import SimHash
-            from gumbo_pp_ray.stages.text_analysis import Fingerprint
-            self.sh = SimHash()
-            self.fp = Fingerprint()
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            ids = t.column("doc_id").cast("int64")
-            h = self.sh(t)
-            f = self.fp(t)
-            n = len(t)
-            return pa.table({
-                "a": pa.chunked_array([ids, ids]),
-                "b": pa.array([-1] * (2 * n), pa.int64()),
-                "v": pa.chunked_array([
-                    h.column("simhash"),
-                    f.column("n_fingerprints").cast(pa.int64()),
-                ]),
-                "kind": pa.array(["hash"] * n + ["fp"] * n,
-                                 pa.string()),
-            })
-
-    hashes = _docs(sf_dir).map_batches(
-        Sketches, batch_format="pyarrow", concurrency=_qconc())
+    hashes = _docs(sf_dir).map_batches(sketches, batch_format="pyarrow")
     pairs = simhash_neardup_pairs(_docs(sf_dir), max_hamming=3) \
         .map_batches(
         lambda t: pa.table({
@@ -684,26 +645,56 @@ def _q_media_decode(sf_dir: str):
                                "format", "width", "height", "n_frames"])
 
 
+def _attach_lang(group: pa.Table) -> pa.Table:
+    """One doc_id bucket of tagged rows → (lang, n_spans) per extracted
+    row whose doc_id has a document row (the inner-join pairs)."""
+    import pyarrow.compute as pc
+    is_doc = pc.equal(group.column("is_doc"), 1)
+    docs = group.filter(is_doc)
+    spans = group.filter(pc.invert(is_doc))
+    idx = pc.index_in(spans.column("doc_id"),
+                      value_set=docs.column("doc_id").combine_chunks())
+    hit = pc.is_valid(idx)
+    return pa.table({
+        "lang": docs.column("lang").take(idx.filter(hit)),
+        "n_spans": spans.column("n_spans").filter(hit),
+    })
+
+
 def _q_spans_by_lang(sf_dir: str):
-    """Hash-partitioned join (Dataset.join, Ray 2.49) of the extraction
-    output against document metadata, then a grouped aggregate:
-    per-language total extracted spans. The small-side-broadcast
-    alternative (state/broadcast.py) is the default for dimension-table
-    lookups; this exercises the shuffle join path."""
+    """Both-sides-large join of the extraction output against document
+    metadata, then a grouped aggregate: per-language total extracted
+    spans.  The join is a bucketed co-group through
+    ``state.exchange``: (doc_id, n_spans) and (doc_id, lang) rows are
+    tagged, bucketed by doc_id, and ``lang`` is attached in the
+    reducer.  The small-side broadcast (stages/lookup.py) is the
+    default for dimension-table lookups."""
     import ray.data
     from gumbo_pp_ray.pipelines.extract_pipeline import extract_dataset
     from gumbo_pp_ray.pipelines.wrap import wrap_documents
+    from gumbo_pp_ray.state.exchange import exchange, key_buckets
+
+    def tag(t: pa.Table, is_doc: int) -> pa.Table:
+        n = len(t)
+        ids = t.column("doc_id").cast(pa.string())
+        return pa.table({
+            "doc_id": ids,
+            "n_spans": (t.column("n_spans").cast(pa.int64()) if not is_doc
+                        else pa.nulls(n, pa.int64())),
+            "lang": (t.column("lang") if is_doc
+                     else pa.nulls(n, pa.string())),
+            "is_doc": pa.array([is_doc] * n, pa.int64()),
+            "bucket": pa.array(key_buckets(ids, num_buckets=8)),
+        })
 
     docs = _docs(sf_dir)
     ds = docs.map_batches(wrap_documents, batch_format="pyarrow")
     out = extract_dataset(ds, split_threshold=256, batch_size=64)
-    left = out.select_columns(["doc_id", "n_spans"])
-    right = _docs(sf_dir, ("doc_id", "lang")).map_batches(
-        lambda t: t.set_column(0, "doc_id",
-                               t.column("doc_id").cast("string")),
-        batch_format="pyarrow")
-    joined = left.join(right, join_type="inner", num_partitions=8,
-                       on=("doc_id",))
+    tagged = out.select_columns(["doc_id", "n_spans"]).map_batches(
+        tag, fn_kwargs={"is_doc": 0}, batch_format="pyarrow").union(
+        _docs(sf_dir, ("doc_id", "lang")).map_batches(
+            tag, fn_kwargs={"is_doc": 1}, batch_format="pyarrow"))
+    joined = exchange(tagged, _attach_lang, num_partitions=8)
     agg = joined.groupby("lang").aggregate(
         ray.data.aggregate.Sum("n_spans", alias_name="total_spans"))
     return agg.map_batches(
@@ -827,54 +818,46 @@ def _q_session_windows(sf_dir: str):
 
 def _q_events_by_segment(sf_dir: str):
     """Broadcast dimension lookup (customer → mktsegment, ray.put once,
-    read per actor) + grouped count — the no-shuffle join strategy for
-    small sides."""
+    read once per worker) + grouped count — the no-shuffle join
+    strategy for small sides."""
     import pyarrow.parquet as pq
-    import ray.data
-    from gumbo_pp_ray.stages.lookup import BroadcastLookup, broadcast_dim
-    from gumbo_pp_ray.state.sizing import default_concurrency
+    from gumbo_pp_ray.stages.lookup import broadcast_dim, broadcast_lookup
 
     dim = pq.read_table(os.path.join(sf_dir, "customer.parquet"),
                         columns=["c_custkey", "c_mktsegment"])
     ref = broadcast_dim(dim, "c_custkey", "c_mktsegment")
-    ev = _events(sf_dir, ("event_id", "user_id"))
-    tagged = ev.map_batches(
-        BroadcastLookup,
-        fn_constructor_kwargs={"dim_ref": ref, "fk_col": "user_id",
-                               "out_col": "segment"},
-        batch_format="pyarrow", concurrency=default_concurrency())
+    tagged = broadcast_lookup(_events(sf_dir, ("event_id", "user_id")),
+                              ref, fk_col="user_id", out_col="segment")
     out = tagged.groupby("segment").count()
     return out.map_batches(
         lambda t: t.rename_columns(["segment", "n_events"]),
         batch_format="pyarrow")
 
 
-def _member_events(sf_dir: str, mode: str):
+def _member_events(sf_dir: str, keys_ref, mode: str):
     """Broadcast SEMI/ANTI join: events vs the BUILDING-segment
     customer key set (ray.put once, vectorized membership per
     batch — no shuffle)."""
-    import pyarrow.parquet as pq
-    import ray.data
-    from gumbo_pp_ray.stages.lookup import BroadcastMembership, broadcast_keys
-    dim = pq.read_table(os.path.join(sf_dir, "customer.parquet"),
-                        columns=["c_custkey", "c_mktsegment"],
-                        filters=[("c_mktsegment", "=", "BUILDING")])
-    ref = broadcast_keys(dim, "c_custkey")
-    ev = _events(sf_dir, ("event_id", "user_id"))
-    return ev.map_batches(
-        BroadcastMembership,
-        fn_constructor_kwargs={"dim_ref": ref, "fk_col": "user_id",
-                               "mode": mode},
-        batch_format="pyarrow", concurrency=_qconc())
+    from gumbo_pp_ray.stages.lookup import broadcast_membership
+    return broadcast_membership(_events(sf_dir, ("event_id", "user_id")),
+                                keys_ref, fk_col="user_id", mode=mode)
 
 
 def _q_events_semi_anti(sf_dir: str):
     """Broadcast SEMI and ANTI joins vs the BUILDING-segment key set,
     folded into one query via a ``side`` discriminator (the two sides
-    partition the events table, so both paths are pinned exactly)."""
-    semi = _member_events(sf_dir, "semi").map_batches(
+    partition the events table, so both paths are pinned exactly).
+    Both sides read ONE key-set ref, so a worker serving both builds
+    its sorted keys once."""
+    import pyarrow.parquet as pq
+    from gumbo_pp_ray.stages.lookup import broadcast_keys
+    dim = pq.read_table(os.path.join(sf_dir, "customer.parquet"),
+                        columns=["c_custkey", "c_mktsegment"],
+                        filters=[("c_mktsegment", "=", "BUILDING")])
+    ref = broadcast_keys(dim, "c_custkey")
+    semi = _member_events(sf_dir, ref, "semi").map_batches(
         _tag_lit("side", "semi"), batch_format="pyarrow")
-    anti = _member_events(sf_dir, "anti").map_batches(
+    anti = _member_events(sf_dir, ref, "anti").map_batches(
         _tag_lit("side", "anti"), batch_format="pyarrow")
     return semi.union(anti)
 

@@ -16,50 +16,44 @@ exact DuckDB oracle (see __ray_entry__ ``corpus_prep``).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import re
 
 import pyarrow as pa
 
+from ..state.broadcast import broadcast_state
+
 _ALPHA = re.compile(r"[A-Za-z]")
 
 
-class PrepStats:
+def _prep_stats_batch(batch: pa.Table, *, bench_ref, n: int) -> pa.Table:
     """Fused per-doc stats: quality_milli (same integer formula as
     text_analysis.QualityScore), contamination count against the
-    broadcast benchmark n-gram set (fetched once per actor), md5
+    broadcast benchmark n-gram set (built once per worker), md5
     content hash, token count."""
-
-    def __init__(self, bench_ref, n: int = 3):
-        import ray
-        self.bench = (ray.get(bench_ref)
-                      if not isinstance(bench_ref, frozenset)
-                      else bench_ref)
-        self.n = n
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        bench, n = self.bench, self.n
-        texts = batch.column("text").to_pylist()
-        quality, contam, hashes, n_tokens = [], [], [], []
-        for t in texts:
-            toks = t.split()
-            nt, nu = len(toks), len(set(toks))
-            nc, na = len(t), len(_ALPHA.findall(t))
-            quality.append(400 * min(nt, 200) // 200
-                           + 300 * nu // max(nt, 1)
-                           + 300 * na // max(nc, 1))
-            grams = {" ".join(toks[i:i + n])
-                     for i in range(len(toks) - n + 1)}
-            contam.append(len(grams & bench))
-            hashes.append(hashlib.md5(t.encode("utf-8")).hexdigest())
-            n_tokens.append(nt)
-        return pa.table({
-            "doc_id": batch.column("doc_id"),
-            "content_hash": pa.array(hashes, pa.string()),
-            "quality_milli": pa.array(quality, pa.int64()),
-            "n_contaminated": pa.array(contam, pa.int64()),
-            "n_tokens": pa.array(n_tokens, pa.int64()),
-        })
+    bench = broadcast_state(frozenset, bench_ref)
+    texts = batch.column("text").to_pylist()
+    quality, contam, hashes, n_tokens = [], [], [], []
+    for t in texts:
+        toks = t.split()
+        nt, nu = len(toks), len(set(toks))
+        nc, na = len(t), len(_ALPHA.findall(t))
+        quality.append(400 * min(nt, 200) // 200
+                       + 300 * nu // max(nt, 1)
+                       + 300 * na // max(nc, 1))
+        grams = {" ".join(toks[i:i + n])
+                 for i in range(len(toks) - n + 1)}
+        contam.append(len(grams & bench))
+        hashes.append(hashlib.md5(t.encode("utf-8")).hexdigest())
+        n_tokens.append(nt)
+    return pa.table({
+        "doc_id": batch.column("doc_id"),
+        "content_hash": pa.array(hashes, pa.string()),
+        "quality_milli": pa.array(quality, pa.int64()),
+        "n_contaminated": pa.array(contam, pa.int64()),
+        "n_tokens": pa.array(n_tokens, pa.int64()),
+    })
 
 
 def _keep_min_bucket(group: pa.Table) -> pa.Table:
@@ -80,7 +74,7 @@ def _keep_min_bucket(group: pa.Table) -> pa.Table:
 
 
 def prep_training_corpus(ds, bench_ref, *, min_quality_milli: int = 500,
-                         ngram: int = 3, concurrency=None,
+                         ngram: int = 3,
                          num_partitions: int | None = None,
                          num_buckets: int | None = None):
     """documents Dataset + broadcast benchmark n-gram set →
@@ -94,13 +88,9 @@ def prep_training_corpus(ds, bench_ref, *, min_quality_milli: int = 500,
     Python call per distinct hash."""
     from ..stages.dedup import size_exact_exchange
     from ..state.exchange import digest_buckets, exchange
-    from ..state.sizing import default_pool_size
-    if concurrency is None:
-        concurrency = default_pool_size()
     stats = ds.map_batches(
-        PrepStats,
-        fn_constructor_kwargs={"bench_ref": bench_ref, "n": ngram},
-        batch_format="pyarrow", concurrency=concurrency)
+        functools.partial(_prep_stats_batch, bench_ref=bench_ref, n=ngram),
+        batch_format="pyarrow")
     stats, n, num_buckets, num_partitions = size_exact_exchange(
         ds, stats, "prep_training_corpus", num_buckets, num_partitions)
     ok = stats.filter(

@@ -21,7 +21,9 @@ logs would hash-mismatch on rounding.
 **Decontamination** (train/test overlap): the benchmark n-gram set is
 broadcast ONCE via ``ray.put`` (benchmark suites are small by nature —
 the asymmetry is the whole point: corpus is huge, contamination list
-is not) and every worker counts overlapping shingles per document.
+is not); ``decontaminate`` is a plain task stage whose workers each
+build the set once from the ref (``state.broadcast.broadcast_state``)
+and count overlapping shingles per document.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import functools
 import numpy as np
 import pyarrow as pa
 
+from ..state.broadcast import broadcast_state
 from ..state.exchange import exchange, key_buckets
 
 
@@ -114,48 +117,31 @@ def ngram_set(texts, n: int = 3) -> frozenset:
     return frozenset(grams)
 
 
-class ContaminationCheck:
-    """Actor-pool stage: flags documents sharing n-grams with a
-    broadcast benchmark set.  The set is fetched from the object store
-    ONCE per actor in ``__init__`` (ray.put on the driver, zero-copy
-    reads everywhere), never per batch."""
-
-    def __init__(self, bench_ref, n: int = 3):
-        import ray
-        self.bench = (ray.get(bench_ref)
-                      if not isinstance(bench_ref, frozenset)
-                      else bench_ref)
-        self.n = n
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        bench = self.bench
-        n = self.n
-        ids = batch.column("doc_id").to_pylist()
-        texts = batch.column("text").to_pylist()
-        hits = []
-        for t in texts:
-            toks = t.split()
-            grams = {" ".join(toks[i:i + n])
-                     for i in range(len(toks) - n + 1)}
-            hits.append(len(grams & bench))
-        hits_arr = pa.array(hits, pa.int64())
-        return pa.table({
-            "doc_id": batch.column("doc_id"),
-            "n_contaminated": hits_arr,
-            "contaminated": pa.compute.cast(
-                pa.compute.greater(hits_arr, 0), pa.int64()),
-        })
+def _contamination_batch(batch: pa.Table, *, bench_ref, n: int
+                         ) -> pa.Table:
+    bench = broadcast_state(frozenset, bench_ref)
+    hits = []
+    for t in batch.column("text").to_pylist():
+        toks = t.split()
+        grams = {" ".join(toks[i:i + n])
+                 for i in range(len(toks) - n + 1)}
+        hits.append(len(grams & bench))
+    hits_arr = pa.array(hits, pa.int64())
+    return pa.table({
+        "doc_id": batch.column("doc_id"),
+        "n_contaminated": hits_arr,
+        "contaminated": pa.compute.cast(
+            pa.compute.greater(hits_arr, 0), pa.int64()),
+    })
 
 
-def decontaminate(ds, bench_ref, *, n: int = 3, concurrency=None):
-    """documents Dataset → (doc_id, n_contaminated, contaminated)."""
-    from ..state.sizing import default_pool_size
-    if concurrency is None:
-        concurrency = default_pool_size()
+def decontaminate(ds, bench_ref, *, n: int = 3):
+    """documents Dataset → (doc_id, n_contaminated, contaminated): a
+    task stage counting each document's n-grams in the broadcast
+    benchmark set, which each worker reads once."""
     return ds.map_batches(
-        ContaminationCheck,
-        fn_constructor_kwargs={"bench_ref": bench_ref, "n": n},
-        batch_format="pyarrow", concurrency=concurrency)
+        functools.partial(_contamination_batch, bench_ref=bench_ref, n=n),
+        batch_format="pyarrow")
 
 
 # ------------------------------------------- decontamination at scale

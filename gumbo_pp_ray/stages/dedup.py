@@ -244,19 +244,6 @@ def minhash_signatures(batch: pa.Table, *, num_perm: int = 128,
     })
 
 
-class MinHashSignatures:
-    """Class form of ``minhash_signatures`` (actor-pool compatible);
-    the pipelines pass the FUNCTION so the stage runs as tasks."""
-
-    def __init__(self, num_perm: int = 128, shingle_words: int = 3,
-                 seed: int = 42):
-        self._kw = dict(num_perm=num_perm, shingle_words=shingle_words,
-                        seed=seed)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return minhash_signatures(batch, **self._kw)
-
-
 _FNV_OFFSET = np.uint64(0xcbf29ce484222325)
 _FNV_PRIME = np.uint64(0x100000001b3)
 
@@ -886,9 +873,9 @@ class SimHash:
     """64-bit SimHash (Charikar's random-hyperplane sketch, public
     STOC'02 construction) over word features; CRC32 feature hashes
     extended to 64 bits via a second salted CRC.  ``simhash64`` is
-    the scalar reference; batches go through the vectorized
-    ``simhash_batch`` (which the pipelines pass directly, as a task
-    stage — the class form remains for actor use)."""
+    the scalar reference the tests compare against; batches go
+    through the vectorized ``simhash_batch`` (which the pipelines pass
+    directly, as a task stage)."""
 
     def __init__(self):
         pass

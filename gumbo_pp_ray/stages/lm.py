@@ -16,10 +16,10 @@ anywhere):
   vocabulary/bigram-type counts, never corpus size; the final model
   (two count tables + sizes) is pulled to the driver only after both
   thresholds bound it, then broadcast ONCE via ``ray.put``.
-* **Scoring** is a stateful actor pool: the model is fetched once per
-  actor in ``__init__`` and turned into sorted numpy key/count arrays;
-  each document is scored with vectorized ``np.searchsorted`` lookups
-  — no Python dict probe per token.
+* **Scoring** is a plain task stage: each worker fetches the model
+  once (``state.broadcast.broadcast_state``) as sorted numpy key/count
+  arrays; each document is scored with vectorized ``np.searchsorted``
+  lookups — no Python dict probe per token.
 
 Model: add-one-smoothed bigram with UNK folding,
 ``p(w2|w1) = (c(w1,w2)+1) / (c(w1)+V+1)``, scored as mean negative
@@ -32,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ..state.broadcast import Broadcast
+from ..state.broadcast import broadcast_state
 
 UNK = -1                                 # folded out-of-vocab token id
 
@@ -59,7 +59,7 @@ def _partial_bigram_counts(batch: pa.Table, *, vocab_ref) -> pa.Table:
     (id1 * (V+1) + id2 with UNK remapped to V) so the groupby
     exchanges a single integer column."""
     from collections import Counter
-    vocab = Broadcast.get(vocab_ref)     # sorted np.ndarray of tokens
+    vocab = broadcast_state(np.asarray, vocab_ref)   # sorted tokens
     c: Counter = Counter()
     for text in batch.column("text").to_pylist():
         toks = np.asarray(text.split() if text else [])
@@ -153,58 +153,50 @@ def train_bigram_lm(ds, *, vocab_min_count: int = 5,
             "bg_keys": bg_keys[order], "bg_counts": bg_counts[order]}
 
 
-class PerplexityScore:
-    """Actor: (doc_id, text) → (doc_id, ppl_milli, n_transitions).
-    Model fetched once per actor; per-doc scoring is vectorized
-    searchsorted lookups."""
-
-    def __init__(self, model_ref):
-        m = Broadcast.get(model_ref)
-        self.vocab = m["vocab"]
-        self.uni = m["uni"]
-        self.bg_keys = m["bg_keys"]
-        self.bg_counts = m["bg_counts"]
-        self.v = len(self.vocab)
-
-    def _doc_ppl(self, text: str) -> tuple[int, int]:
-        toks = np.asarray(text.split() if text else [])
-        if len(toks) < 2:
-            return (0, 0)
-        v = self.v
-        ids, keys = _token_ids_and_keys(toks, self.vocab)
-        if len(self.bg_keys):
-            pos = np.clip(np.searchsorted(self.bg_keys, keys),
-                          0, len(self.bg_keys) - 1)
-            hit = self.bg_keys[pos] == keys
-            num = np.where(hit, self.bg_counts[pos], 0) + 1.0
-        else:
-            num = np.ones(len(keys))
-        den = self.uni[ids[:-1]] + v + 1.0
-        h = float(-np.log2(num / den).mean())
-        return (int(round(1000.0 * 2.0 ** h)), len(keys))
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out_p, out_n = [], []
-        for text in batch.column("text").to_pylist():
-            p, n = self._doc_ppl(text)
-            out_p.append(p)
-            out_n.append(n)
-        return pa.table({
-            "doc_id": batch.column("doc_id"),
-            "ppl_milli": pa.array(out_p, pa.int64()),
-            "n_transitions": pa.array(out_n, pa.int64()),
-        })
+def _model_arrays(m: dict) -> tuple:
+    return m["vocab"], m["uni"], m["bg_keys"], m["bg_counts"]
 
 
-def perplexity_scores(ds, model: dict, *, concurrency=None):
+def _doc_ppl(text: str, vocab, uni, bg_keys, bg_counts
+             ) -> tuple[int, int]:
+    toks = np.asarray(text.split() if text else [])
+    if len(toks) < 2:
+        return (0, 0)
+    v = len(vocab)
+    ids, keys = _token_ids_and_keys(toks, vocab)
+    if len(bg_keys):
+        pos = np.clip(np.searchsorted(bg_keys, keys), 0, len(bg_keys) - 1)
+        hit = bg_keys[pos] == keys
+        num = np.where(hit, bg_counts[pos], 0) + 1.0
+    else:
+        num = np.ones(len(keys))
+    den = uni[ids[:-1]] + v + 1.0
+    h = float(-np.log2(num / den).mean())
+    return (int(round(1000.0 * 2.0 ** h)), len(keys))
+
+
+def perplexity_batch(batch: pa.Table, *, model_ref) -> pa.Table:
+    """(doc_id, text) → (doc_id, ppl_milli, n_transitions) against the
+    broadcast model, which each worker reads once."""
+    model = broadcast_state(_model_arrays, model_ref)
+    out_p, out_n = [], []
+    for text in batch.column("text").to_pylist():
+        p, n = _doc_ppl(text, *model)
+        out_p.append(p)
+        out_n.append(n)
+    return pa.table({
+        "doc_id": batch.column("doc_id"),
+        "ppl_milli": pa.array(out_p, pa.int64()),
+        "n_transitions": pa.array(out_n, pa.int64()),
+    })
+
+
+def perplexity_scores(ds, model: dict):
     """Dataset(doc_id, text) + trained model → per-doc perplexity
     (ppl_milli; 0 for docs with <2 tokens)."""
+    import functools
+
     import ray
-    from ..state.sizing import default_pool_size
-    if concurrency is None:
-        concurrency = (2, default_pool_size())
-    ref = ray.put(model)
     return ds.map_batches(
-        PerplexityScore,
-        fn_constructor_kwargs={"model_ref": ref},
-        batch_format="pyarrow", concurrency=concurrency)
+        functools.partial(perplexity_batch, model_ref=ray.put(model)),
+        batch_format="pyarrow")

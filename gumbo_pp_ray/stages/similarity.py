@@ -1,15 +1,18 @@
 """Similarity search over an embedding column (list<float>).
 
 * **Brute-force cosine top-k** (the exactness baseline): the query
-  matrix is broadcast ONCE (``ray.put``) and read once per actor in
-  ``__init__`` — never re-shipped per batch. Each batch does one
-  float64 matmul (Q x d) @ (d x B) and emits per-(query, batch) top-k
+  matrix is broadcast ONCE (``ray.put``) and read once per worker
+  process (``state.broadcast.broadcast_state``) by plain task stages
+  — never re-shipped per batch, no actor pool to spin up. Each batch
+  does one float64 matmul (Q x d) @ (d x B) and emits per-(query, batch) top-k
   candidate rows; a tiny ``groupby(query_id)`` reduce keeps the global
   top-k. The shuffle moves at most Q x k x num_batches candidate rows
   — never embeddings.
-* **LSH-bucketed ANN** (the scale path): random-hyperplane sign
-  buckets (seeded); corpus rows are compared only within the query's
-  bucket (multi-probe over single-bit flips to recover recall).
+* **LSH-bucketed and IVF ANN** (the scale paths): random-hyperplane
+  sign buckets (seeded) or k-means cells; corpus rows are compared
+  only within the cells their queries probe (multi-probe over
+  single-bit flips / the ``n_probe`` nearest centroids to recover
+  recall), by one probe-scoring task stage for both cell kinds.
   Recall/probe trade-off is measured in tests against brute force.
 """
 
@@ -18,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ..state.broadcast import Broadcast
+from ..state.broadcast import broadcast_state
 
 
 def _normalize(m: np.ndarray) -> np.ndarray:
@@ -36,34 +39,26 @@ def _batch_matrix(batch: pa.Table) -> np.ndarray:
     return flat.reshape(len(col), -1)
 
 
-_BCAST_STATE_CACHE: dict = {}
+def _queries(c: dict) -> tuple:
+    return (np.asarray(c["ids"], dtype=np.int64),
+            _normalize(np.asarray(c["matrix"])))
 
 
-def _cached_ids_matrix(ref, *, normalize: bool):
-    """Per-worker-process cache of a broadcast {"ids", "matrix"} blob.
-    ray.get of a plasma numpy is already a zero-copy view, so the
-    cache only saves the ids dtype conversion and (for query blobs)
-    the normalize — but it makes task stages exactly as cheap per
-    batch as the old actor __init__ was per actor, WITHOUT the fixed
-    pool spin-up (~2-3 s/pipeline, see dedup._cached_hasher)."""
-    key = (ref.hex() if hasattr(ref, "hex") else id(ref), normalize)
-    st = _BCAST_STATE_CACHE.get(key)
-    if st is None:
-        c = Broadcast.get(ref)
-        m = np.asarray(c["matrix"])
-        st = (np.asarray(c["ids"], dtype=np.int64),
-              _normalize(m) if normalize else m)
-        if len(_BCAST_STATE_CACHE) >= 8:    # blobs can be GBs; bound it
-            _BCAST_STATE_CACHE.clear()
-        _BCAST_STATE_CACHE[key] = st
-    return st
+def _corpus(c: dict) -> tuple:
+    """Ids as int64; the matrix, normalized on the driver, stays a
+    zero-copy view of the object store."""
+    return np.asarray(c["ids"], dtype=np.int64), np.asarray(c["matrix"])
+
+
+def _probe_queries(c: dict) -> tuple:
+    return c["ids"], c["matrix"], c["probe_map"]
 
 
 def brute_force_topk_batch(batch: pa.Table, *, queries_ref,
                            k: int = 10) -> pa.Table:
-    """Per-batch top-k against the broadcast query matrix (stateless
-    task stage; query state cached per worker process)."""
-    query_ids, q = _cached_ids_matrix(queries_ref, normalize=True)
+    """Per-batch top-k against the broadcast query matrix (task stage;
+    query state built once per worker process)."""
+    query_ids, q = broadcast_state(_queries, queries_ref)
     vecs = _normalize(_batch_matrix(batch))
     ids = batch.column("vec_id").to_numpy(zero_copy_only=False)
     sims = q @ vecs.T                           # (Q, B)
@@ -76,17 +71,6 @@ def brute_force_topk_batch(batch: pa.Table, *, queries_ref,
             np.take_along_axis(sims, top, axis=1).ravel(),
             pa.float64()),
     })
-
-
-class BruteForceTopK:
-    """Class form of ``brute_force_topk_batch`` (actor-compatible);
-    the pipelines pass the function so the stage runs as tasks."""
-
-    def __init__(self, queries_ref, k: int = 10):
-        self._kw = dict(queries_ref=queries_ref, k=k)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return brute_force_topk_batch(batch, **self._kw)
 
 
 def _topk_reduce_factory(k: int, exclude_self: bool):
@@ -165,16 +149,64 @@ def lsh_bucket_stage(batch: pa.Table, *, dim: int, n_planes: int = 12,
     return batch.append_column("bucket", pa.array(buckets, pa.int64()))
 
 
+def _probe_score_batch(batch: pa.Table, *, queries_ref, k: int,
+                       cell_col: str) -> pa.Table:
+    """Score each row only against the queries probing its cell
+    (``cell_col``: the LSH ``bucket`` or the IVF ``ivf_cluster``);
+    per-(query, cell) top-k candidate rows.  The probe payload
+    {"ids", "matrix", "probe_map": cell → query rows} is built once
+    per worker process."""
+    query_ids, q, probe_map = broadcast_state(_probe_queries, queries_ref)
+    m = _normalize(_batch_matrix(batch))
+    ids = batch.column("vec_id").to_numpy(zero_copy_only=False)
+    cells = batch.column(cell_col).to_numpy(zero_copy_only=False)
+    out_q, out_n, out_s = [], [], []
+    for c in np.unique(cells):
+        qrows = probe_map.get(int(c))
+        if not qrows:
+            continue
+        mask = cells == c
+        sub, sub_ids = m[mask], ids[mask]
+        sims = q[qrows] @ sub.T
+        kk = min(k, sims.shape[1])
+        top = np.argpartition(-sims, kk - 1, axis=1)[:, :kk]
+        for r, qi in enumerate(qrows):
+            for cc in top[r]:
+                out_q.append(int(query_ids[qi]))
+                out_n.append(int(sub_ids[cc]))
+                out_s.append(float(sims[r, cc]))
+    return pa.table({
+        "query_id": pa.array(out_q, pa.int64()),
+        "neighbor_id": pa.array(out_n, pa.int64()),
+        "cosine": pa.array(out_s, pa.float64()),
+    })
+
+
+def _probe_topk(cells_ds, qm: np.ndarray, query_ids, probe_map: dict, *,
+                cell_col: str, k: int, exclude_self: bool):
+    """Shared tail of the LSH and IVF paths: broadcast the probe
+    payload, score each cell against its probing queries, keep the
+    global top-k per query."""
+    import functools
+
+    import ray
+    ref = ray.put({"ids": np.asarray(query_ids, dtype=np.int64),
+                   "matrix": qm, "probe_map": probe_map})
+    cand = cells_ds.map_batches(
+        functools.partial(_probe_score_batch, queries_ref=ref,
+                          k=k + exclude_self, cell_col=cell_col),
+        batch_format="pyarrow", batch_size=4096)
+    return cand.groupby("query_id").map_groups(
+        _topk_reduce_factory(k, exclude_self), batch_format="pyarrow")
+
+
 def ann_topk_lsh(ds, queries: dict, *, dim: int, k: int = 10,
                  n_planes: int = 12, seed: int = 42, n_flip: int = 1,
-                 exclude_self: bool = True, concurrency=None):
+                 exclude_self: bool = True):
     """Approximate top-k: corpus rows hashed to hyperplane buckets;
     each batch only scores queries probing one of its buckets. Same
     output schema as ann_topk (recall < 1; measured in tests)."""
-    import ray
-    from ..state.sizing import default_pool_size
-    if concurrency is None:
-        concurrency = default_pool_size()
+    import functools
 
     lsh = HyperplaneLsh(dim, n_planes, seed)
     qm = _normalize(np.asarray(queries["matrix"]))
@@ -182,79 +214,21 @@ def ann_topk_lsh(ds, queries: dict, *, dim: int, k: int = 10,
     for qi, vec in enumerate(qm):
         for b in lsh.probes(vec, n_flip=n_flip):
             probe_map.setdefault(b, []).append(qi)
-    payload = {"ids": np.asarray(queries["ids"], dtype=np.int64),
-               "matrix": qm, "probe_map": probe_map}
-    ref = ray.put(payload)
-
-    class BucketScore:
-        def __init__(self, queries_ref, k):
-            q = Broadcast.get(queries_ref)
-            self.query_ids = q["ids"]
-            self.q = q["matrix"]
-            self.probe_map = q["probe_map"]
-            self.k = k
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            m = _normalize(_batch_matrix(batch))
-            ids = batch.column("vec_id").to_numpy(zero_copy_only=False)
-            buckets = batch.column("bucket").to_numpy(zero_copy_only=False)
-            out_q, out_n, out_s = [], [], []
-            for b in np.unique(buckets):
-                qrows = self.probe_map.get(int(b))
-                if not qrows:
-                    continue
-                mask = buckets == b
-                sub, sub_ids = m[mask], ids[mask]
-                sims = self.q[qrows] @ sub.T
-                kk = min(self.k, sims.shape[1])
-                top = np.argpartition(-sims, kk - 1, axis=1)[:, :kk]
-                for r, qi in enumerate(qrows):
-                    for c in top[r]:
-                        out_q.append(int(self.query_ids[qi]))
-                        out_n.append(int(sub_ids[c]))
-                        out_s.append(float(sims[r, c]))
-            return pa.table({
-                "query_id": pa.array(out_q, pa.int64()),
-                "neighbor_id": pa.array(out_n, pa.int64()),
-                "cosine": pa.array(out_s, pa.float64()),
-            })
-
-    import functools
     bucketed = ds.map_batches(
         functools.partial(lsh_bucket_stage, dim=dim, n_planes=n_planes,
                           seed=seed),
         batch_format="pyarrow", batch_size=4096)
-    cand = bucketed.map_batches(
-        BucketScore,
-        fn_constructor_kwargs={"queries_ref": ref, "k": k + exclude_self},
-        batch_format="pyarrow", batch_size=4096, concurrency=concurrency)
-    return cand.groupby("query_id").map_groups(
-        _topk_reduce_factory(k, exclude_self), batch_format="pyarrow")
-
-
-class NearDupPairs:
-    """Embedding-cosine near-dup pairs: each batch is scored against
-    the broadcast (normalized) corpus matrix; emits (vec_a < vec_b)
-    pairs with cosine >= threshold.
-
-    Exact but O(N^2/batch) — the small-N / verification tool. At
-    10^12-vector scale use hyperplane bucketing first
-    (``lsh_bucket_stage`` + within-bucket pairwise, same shape as
-    dedup.minhash_lsh_pairs) and accept the recall/probe trade-off.
-    """
-
-    def __init__(self, corpus_ref, threshold: float = 0.5):
-        self._kw = dict(corpus_ref=corpus_ref, threshold=threshold)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return neardup_pairs_batch(batch, **self._kw)
+    return _probe_topk(bucketed, qm, queries["ids"], probe_map,
+                       cell_col="bucket", k=k, exclude_self=exclude_self)
 
 
 def neardup_pairs_batch(batch: pa.Table, *, corpus_ref,
                         threshold: float = 0.5) -> pa.Table:
-    """Task form of NearDupPairs (corpus matrix is a zero-copy plasma
-    view; ids cached per worker process)."""
-    corpus_ids, m = _cached_ids_matrix(corpus_ref, normalize=False)
+    """Embedding-cosine near-dup pairs of one batch against the
+    broadcast (normalized) corpus matrix: (vec_a < vec_b) pairs with
+    cosine >= threshold.  Exact but O(N^2/batch) — the small-N /
+    verification tool; at scale use ``embedding_neardup_pairs_lsh``."""
+    corpus_ids, m = broadcast_state(_corpus, corpus_ref)
     vecs = _normalize(_batch_matrix(batch))
     ids = batch.column("vec_id").to_numpy(zero_copy_only=False)
     sims = vecs @ m.T                           # (B, N)
@@ -337,9 +311,9 @@ def train_coarse_centroids(ds, *, dim: int, n_clusters: int = 16,
 
 
 def ivf_assign_stage(batch: pa.Table, *, centroids_ref) -> pa.Table:
-    """Stateless assign: cluster = argmax centroid similarity."""
-    from ..state.broadcast import Broadcast
-    cents = Broadcast.get(centroids_ref)
+    """Assign: cluster = argmax centroid similarity (centroids read
+    once per worker process)."""
+    cents = broadcast_state(np.asarray, centroids_ref)
     m = _normalize(_batch_matrix(batch))
     assign = np.argmax(cents @ m.T, axis=0).astype(np.int64)
     return batch.append_column("ivf_cluster", pa.array(assign))
@@ -347,7 +321,7 @@ def ivf_assign_stage(batch: pa.Table, *, centroids_ref) -> pa.Table:
 
 def ann_topk_ivf(ds, queries: dict, *, dim: int, k: int = 10,
                  n_clusters: int = 16, n_probe: int = 4,
-                 exclude_self: bool = True, concurrency=None,
+                 exclude_self: bool = True,
                  centroids: np.ndarray | None = None):
     """IVF approximate top-k: a coarse quantizer (trained on a
     bounded sample unless ``centroids`` given) partitions the corpus;
@@ -357,9 +331,6 @@ def ann_topk_ivf(ds, queries: dict, *, dim: int, k: int = 10,
     for clustered corpora), one extra training pass."""
     import functools
     import ray
-    from ..state.sizing import default_pool_size
-    if concurrency is None:
-        concurrency = default_pool_size()
     if centroids is None:
         centroids = train_coarse_centroids(ds, dim=dim,
                                            n_clusters=n_clusters)
@@ -372,53 +343,12 @@ def ann_topk_ivf(ds, queries: dict, *, dim: int, k: int = 10,
     for qi in range(qm.shape[0]):
         for c in probe[:, qi]:
             probe_map.setdefault(int(c), []).append(qi)
-    payload = {"ids": np.asarray(queries["ids"], dtype=np.int64),
-               "matrix": qm, "probe_map": probe_map}
-    ref = ray.put(payload)
-
-    class ClusterScore:
-        def __init__(self, queries_ref, k):
-            from ..state.broadcast import Broadcast
-            q = Broadcast.get(queries_ref)
-            self.query_ids = q["ids"]
-            self.q = q["matrix"]
-            self.probe_map = q["probe_map"]
-            self.k = k
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            m = _normalize(_batch_matrix(batch))
-            ids = batch.column("vec_id").to_numpy(zero_copy_only=False)
-            cl = batch.column("ivf_cluster").to_numpy(zero_copy_only=False)
-            out_q, out_n, out_s = [], [], []
-            for c in np.unique(cl):
-                qrows = self.probe_map.get(int(c))
-                if not qrows:
-                    continue
-                mask = cl == c
-                sub, sub_ids = m[mask], ids[mask]
-                sims = self.q[qrows] @ sub.T
-                kk = min(self.k, sims.shape[1])
-                top = np.argpartition(-sims, kk - 1, axis=1)[:, :kk]
-                for r, qi in enumerate(qrows):
-                    for cc in top[r]:
-                        out_q.append(int(self.query_ids[qi]))
-                        out_n.append(int(sub_ids[cc]))
-                        out_s.append(float(sims[r, cc]))
-            return pa.table({
-                "query_id": pa.array(out_q, pa.int64()),
-                "neighbor_id": pa.array(out_n, pa.int64()),
-                "cosine": pa.array(out_s, pa.float64()),
-            })
-
     assigned = ds.map_batches(
         functools.partial(ivf_assign_stage, centroids_ref=cents_ref),
         batch_format="pyarrow", batch_size=4096)
-    cand = assigned.map_batches(
-        ClusterScore,
-        fn_constructor_kwargs={"queries_ref": ref, "k": k + exclude_self},
-        batch_format="pyarrow", batch_size=4096, concurrency=concurrency)
-    return cand.groupby("query_id").map_groups(
-        _topk_reduce_factory(k, exclude_self), batch_format="pyarrow")
+    return _probe_topk(assigned, qm, queries["ids"], probe_map,
+                       cell_col="ivf_cluster", k=k,
+                       exclude_self=exclude_self)
 
 
 # ------------------------------------------------------- kNN graph
@@ -464,25 +394,14 @@ def _row_topk_table(sims: np.ndarray, row_ids: np.ndarray,
     })
 
 
-class KnnGraphScore:
-    """Per-batch exact kNN against the broadcast corpus matrix:
-    one (B x d) @ (d x N) matmul, per-row top-k — a pure map, zero
-    shuffle (each row sees the FULL corpus, so no cross-batch reduce
-    is needed, unlike BruteForceTopK whose queries are scored per
-    corpus batch)."""
-
-    def __init__(self, corpus_ref, k: int):
-        self._kw = dict(corpus_ref=corpus_ref, k=k)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return knn_graph_score_batch(batch, **self._kw)
-
-
 def knn_graph_score_batch(batch: pa.Table, *, corpus_ref,
                           k: int) -> pa.Table:
-    """Task form of KnnGraphScore (corpus matrix is a zero-copy plasma
-    view; ids cached per worker process)."""
-    corpus_ids, m = _cached_ids_matrix(corpus_ref, normalize=False)
+    """Per-batch exact kNN against the broadcast corpus matrix: one
+    (B x d) @ (d x N) matmul, per-row top-k — a pure map, zero shuffle
+    (each row sees the FULL corpus, so no cross-batch reduce is
+    needed, unlike ``brute_force_topk_batch`` whose queries are scored
+    per corpus batch)."""
+    corpus_ids, m = broadcast_state(_corpus, corpus_ref)
     vecs = _normalize(_batch_matrix(batch))
     ids = batch.column("vec_id").to_numpy(zero_copy_only=False)
     sims = vecs @ m.T                           # (B, N)
@@ -496,9 +415,10 @@ def knn_graph(ds, corpus: dict, *, k: int = 5):
     → (vec_id, neighbor_id, rank), rank 1..k by (-cosine,
     neighbor_id).
 
-    The EXACTNESS BASELINE, same contract as NearDupPairs: the corpus
-    matrix is broadcast once (``ray.put``, read per actor in
-    ``__init__``) and each batch does one matmul — O(N x B x d) total
+    The EXACTNESS BASELINE, same contract as
+    ``embedding_neardup_pairs``: the corpus matrix is broadcast once
+    (``ray.put``, read once per worker process) and each batch does
+    one matmul — O(N x B x d) total
     work, corpus matrix must fit in a worker heap (~10M x 64 float64 ≈
     5 GB).  Past that, use ``knn_graph_lsh`` — bucketed, no broadcast,
     approximate."""

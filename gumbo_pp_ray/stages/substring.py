@@ -47,6 +47,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..state.broadcast import broadcast_state
 from ..state.exchange import digest_buckets, exchange, key_buckets
 
 _EMPTY_REMOVALS = pa.table({
@@ -172,30 +173,21 @@ def _apply_removals(docs_t: pa.Table, rdocs: np.ndarray,
     })
 
 
-class _BroadcastRebuild:
-    """Broadcast-plan reassembly actor: the full removal set is
-    fetched ONCE per actor as two sorted numpy columns; each doc
-    batch is cleaned with vectorized searchsorted slicing."""
-
-    def __init__(self, removals_ref):
-        import ray
-        rdocs, rpos = ray.get(removals_ref)
-        self.rdocs = rdocs
-        self.rpos = rpos
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        docs_t = pa.table({
-            "doc_id": batch.column("doc_id").cast(pa.int64()),
-            "text": batch.column("text"),
-        })
-        return _apply_removals(docs_t, self.rdocs, self.rpos,
-                               presorted=True)
+def _rebuild_batch(batch: pa.Table, *, removals_ref) -> pa.Table:
+    """Broadcast-plan reassembly: the full removal set, two sorted
+    numpy columns, is fetched once per worker; each doc batch is
+    cleaned with vectorized searchsorted slicing."""
+    rdocs, rpos = broadcast_state(tuple, removals_ref)
+    docs_t = pa.table({
+        "doc_id": batch.column("doc_id").cast(pa.int64()),
+        "text": batch.column("text"),
+    })
+    return _apply_removals(docs_t, rdocs, rpos, presorted=True)
 
 
 def substring_dedup(ds, *, k: int = 8, num_partitions: int = 16,
                     plan: str = "auto",
-                    broadcast_max_removals: int = 4_000_000,
-                    concurrency=None):
+                    broadcast_max_removals: int = 4_000_000):
     """Dataset(doc_id, text) → Dataset(doc_id, text, n_tokens_in,
     n_removed) with every duplicated token k-gram reduced to its
     globally-first occurrence.
@@ -208,8 +200,8 @@ def substring_dedup(ds, *, k: int = 8, num_partitions: int = 16,
       columns — the same 4M bound as graph.connected_components'
       label broadcast), else ``"cogroup"``.  The count is read from
       the materialized removal blocks' metadata, not a second pass.
-    * ``"broadcast"``: removals shipped ONCE via ``ray.put`` to a
-      rebuild actor pool; docs flow through a pure map — no third
+    * ``"broadcast"``: removals shipped ONCE via ``ray.put`` and read
+      once per worker; docs flow through a pure task map — no third
       shuffle.  The fast path for lightly-duplicated corpora.
     * ``"cogroup"``: union-tagged docs + removals hash-partitioned by
       doc_id — never materializes the removal set anywhere central;
@@ -221,7 +213,7 @@ def substring_dedup(ds, *, k: int = 8, num_partitions: int = 16,
     return substring_rebuild(
         ds, removals, plan=plan,
         broadcast_max_removals=broadcast_max_removals,
-        num_partitions=num_partitions, concurrency=concurrency)
+        num_partitions=num_partitions)
 
 
 def substring_removals(ds, *, k: int = 8, num_partitions: int = 16):
@@ -241,9 +233,11 @@ def substring_removals(ds, *, k: int = 8, num_partitions: int = 16):
 
 def substring_rebuild(ds, removals, *, plan: str = "auto",
                       broadcast_max_removals: int = 4_000_000,
-                      num_partitions: int = 16, concurrency=None):
+                      num_partitions: int = 16):
     """Stage 3 alone: apply a removal set to the docs under the
     chosen exchange plan (see ``substring_dedup``)."""
+    import functools
+
     import ray
 
     if plan not in ("auto", "broadcast", "cogroup"):
@@ -264,13 +258,9 @@ def substring_rebuild(ds, removals, *, plan: str = "auto",
         order = np.lexsort((rpos, rdocs))   # sort ONCE, before the put
         ref = ray.put((np.ascontiguousarray(rdocs[order]),
                        np.ascontiguousarray(rpos[order])))
-        if concurrency is None:
-            from ..state.sizing import default_concurrency
-            concurrency = default_concurrency()
         return ds.map_batches(
-            _BroadcastRebuild,
-            fn_constructor_kwargs={"removals_ref": ref},
-            batch_format="pyarrow", concurrency=concurrency)
+            functools.partial(_rebuild_batch, removals_ref=ref),
+            batch_format="pyarrow")
 
     def tag_docs(t: pa.Table) -> pa.Table:
         return pa.table({

@@ -9,8 +9,8 @@ deterministic — integer ratios in "milli" units are).
 Scale notes: every transform here is embarrassingly parallel (no
 shuffle); string kernels run on Python lists built once per batch
 (pandas ``str`` falls back to Python-per-row anyway for these ops);
-stateful pieces (stopword profiles, compiled regexes) live in actor
-``__init__``.
+the classes' state (stopword profiles, compiled regexes) is built in
+``__init__`` in microseconds, so a task stage builds them per batch.
 """
 
 from __future__ import annotations
@@ -99,7 +99,7 @@ _LANG_PROFILES = {
 
 class LangId:
     """n-gram/stopword-heuristic language ID (non-SQL-expressible →
-    rows-only driver check). Profiles compiled once per actor."""
+    rows-only driver check). Profiles compiled in ``__init__``."""
 
     def __init__(self, profiles=None):
         self.profiles = {k: frozenset(v)

@@ -1,33 +1,38 @@
-"""Broadcast small-side lookups: ``ray.put`` once on the driver, read
-(and deserialize) once per actor in ``__init__`` — never re-shipped
-per batch and never a shuffle join (ray_guide: joins & lookups).
+"""Broadcast small sides: ``ray.put`` once on the driver, then read
+through ``broadcast_state`` in a plain ``map_batches`` task — never
+re-shipped per batch, never a shuffle join, and no actor pool to
+spin up (ray_guide: joins & lookups).
 
 Usage::
 
-    ref = broadcast(big_lookup_dict)
-    class Stage:
-        def __init__(self, lookup_ref):
-            self.lookup = Broadcast.get(lookup_ref)   # once per actor
-        def __call__(self, batch): ...
-    ds.map_batches(Stage, fn_constructor_kwargs={"lookup_ref": ref},
-                   concurrency=N)
+    def _sorted_keys(dim):                  # module level: the cache key
+        return np.sort(dim["keys"])
+
+    def lookup_batch(batch, *, dim_ref):
+        keys = broadcast_state(_sorted_keys, dim_ref)   # once per worker
+        ...
+
+    ds.map_batches(functools.partial(lookup_batch, dim_ref=ray.put(dim)))
 """
 
 from __future__ import annotations
 
 import ray
 
-
-def broadcast(obj) -> "ray.ObjectRef":
-    """Put a small-side object into the object store once."""
-    return ray.put(obj)
+#: build function → (ref, build(ray.get(ref))) of this worker process.
+_state: dict = {}
 
 
-class Broadcast:
-    @staticmethod
-    def get(ref):
-        """Resolve a broadcast ref inside an actor (accepts plain
-        objects too, so stages stay usable without Ray)."""
-        if isinstance(ref, ray.ObjectRef):
-            return ray.get(ref)
-        return ref
+def broadcast_state(build, ref):
+    """``build(obj)`` for the object behind ``ref``, built once per
+    worker process.  One entry per ``build``: a new ref replaces the
+    old entry, whose state is freed first, so a worker pins at most one
+    broadcast object per stage kind.  A plain object (not an
+    ``ObjectRef``, as in a local test) is built on every call and never
+    cached."""
+    if not isinstance(ref, ray.ObjectRef):
+        return build(ref)
+    if build not in _state or _state[build][0] != ref:
+        _state.pop(build, None)          # free the old ref's state first
+        _state[build] = (ref, build(ray.get(ref)))
+    return _state[build][1]

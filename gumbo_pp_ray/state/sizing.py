@@ -6,11 +6,14 @@ Sizing rules (each failure mode measured on a single node):
   (``default_pool_size()``): cluster CPUs minus 2, so read/write/
   shuffle tasks keep CPUs. Ray's autoscaling ramps far too slowly for
   batch jobs (autoscale (1,30): 7.4k docs/s vs fixed 24: 15k docs/s).
-* Any ADDITIONAL actor pool autoscales from 1 (``default_concurrency``):
-  two fixed stages that sum to every core starve the read/shuffle
-  tasks — observed as a hard livelock (idle-worker SIGTERM → lost
-  blocks → unsatisfiable re-execution); a min of 1 cannot deadlock.
-  Stateless stages are plain functions, never pools.
+* A stage is a plain task function — stateless, or reading a
+  broadcast side through ``state.broadcast.broadcast_state`` (built
+  once per warm worker). Only stages whose state is NOT a broadcast
+  (the selector, table-scrape, media and PDF stages) are actor pools,
+  and those autoscale from 1 (``default_concurrency``): two fixed
+  stages that sum to every core starve the read/shuffle tasks —
+  observed as a hard livelock (idle-worker SIGTERM → lost blocks →
+  unsatisfiable re-execution); a min of 1 cannot deadlock.
 * A hot-stage task gets ``rows_per_task`` rows: two tasks per worker,
   so Ray's fixed cost per task (dispatch, and seeing the finish only
   after the next write or a 0.1 s ``ray.wait``) is paid a few times
@@ -60,8 +63,8 @@ def default_pool_size(reserve: int = 2, floor: int = 2) -> int:
 
 
 def default_concurrency(reserve: int = 2, floor: int = 2) -> tuple:
-    """Autoscaling actor-pool bounds ``(1, cpus - reserve)`` — for
-    SECONDARY actor stages only (see the module docstring)."""
+    """Autoscaling actor-pool bounds ``(1, cpus - reserve)`` — for the
+    non-broadcast actor stages only (see the module docstring)."""
     return (1, default_pool_size(reserve, floor))
 
 

@@ -49,8 +49,7 @@ def test_decontaminate_planted_overlap(ray_session):
                  "we said the quick brown fox runs",   # 2 shared grams
                  "short"],
     })
-    out = decontaminate(ray.data.from_arrow(t), ref, n=3,
-                        concurrency=2).take_all()
+    out = decontaminate(ray.data.from_arrow(t), ref, n=3).take_all()
     got = {r["doc_id"]: (r["n_contaminated"], r["contaminated"])
            for r in out}
     assert got == {0: (0, 0), 1: (2, 1), 2: (0, 0)}
@@ -105,8 +104,7 @@ def test_prep_training_corpus_composition(ray_session):
     })
     ref = ray.put(ngram_set([bench_text], n=3))
     out = prep_training_corpus(ray.data.from_arrow(t), ref,
-                               min_quality_milli=500,
-                               concurrency=2).take_all()
+                               min_quality_milli=500).take_all()
     got = {r["doc_id"]: r["n_tokens"] for r in out}
     assert set(got) == {0, 4}
     assert got[0] == len(good.split())
@@ -134,7 +132,7 @@ def test_decontaminate_shuffle_matches_broadcast(ray_session):
         pa.table({"text": bench_texts})).repartition(2)
 
     ref = ray.put(ngram_set(bench_texts, n=3))
-    want = decontaminate(ds, ref, n=3, concurrency=2).to_pandas() \
+    want = decontaminate(ds, ref, n=3).to_pandas() \
         .sort_values("doc_id").reset_index(drop=True)
     got = decontaminate_shuffle(ds, bench_ds, n=3, num_partitions=4) \
         .to_pandas().sort_values("doc_id").reset_index(drop=True)
@@ -184,7 +182,7 @@ def test_decontaminate_bloom_matches_broadcast(ray_session):
         pa.table({"text": bench_texts})).repartition(2)
 
     ref = ray.put(ngram_set(bench_texts, n=3))
-    want = decontaminate(ds, ref, n=3, concurrency=2).to_pandas() \
+    want = decontaminate(ds, ref, n=3).to_pandas() \
         .sort_values("doc_id").reset_index(drop=True)
     bloom = build_bench_bloom(bench_ds, n=3)
     got = decontaminate_bloom(ds, bench_ds, n=3, num_partitions=4,
@@ -232,7 +230,7 @@ def test_bloom_false_positive_never_leaks(ray_session):
         bloom=(all_set, {"bits": bits, "k": 2, "n": 3})) \
         .to_pandas().sort_values("doc_id").reset_index(drop=True)
     ref = ray.put(ngram_set(bench_texts, n=3))
-    want = decontaminate(ds, ref, n=3, concurrency=2).to_pandas() \
+    want = decontaminate(ds, ref, n=3).to_pandas() \
         .sort_values("doc_id").reset_index(drop=True)
     assert got[sorted(got.columns)].equals(want[sorted(want.columns)])
 

@@ -70,7 +70,7 @@ def test_perplexity_matches_reference(ray_session):
               "single"]
     got = {r["doc_id"]: r["ppl_milli"]
            for r in perplexity_scores(_mk_docs(probes),
-                                      model, concurrency=2).take_all()}
+                                      model).take_all()}
     for i, p in enumerate(probes):
         assert got[i] == _ref_ppl(p, vocab, uni, bg), p
 
@@ -84,11 +84,11 @@ def test_natural_text_scores_below_garbage(ray_session):
               "mat the cat dog sun on and sat the ran the to the"]
     got = {r["doc_id"]: r["ppl_milli"]
            for r in perplexity_scores(_mk_docs(probes),
-                                      model, concurrency=2).take_all()}
+                                      model).take_all()}
     assert got[0] < got[1]               # natural order beats shuffled
     # short/empty docs: sentinel 0, never a crash
     got2 = perplexity_scores(_mk_docs(["", "one"]),
-                             model, concurrency=2).take_all()
+                             model).take_all()
     assert all(r["ppl_milli"] == 0 for r in got2)
 
 

@@ -439,20 +439,16 @@ def t_spans_type():
 def test_broadcast_lookup_stage(ray_session):
     import numpy as np
     import ray.data
-    from gumbo_pp_ray.stages.lookup import BroadcastLookup, broadcast_dim
+    from gumbo_pp_ray.stages.lookup import broadcast_dim, broadcast_lookup
 
     dim = pa.table({"k": pa.array([5, 1, 9], pa.int64()),
                     "v": ["five", "one", "nine"]})
     ref = broadcast_dim(dim, "k", "v")
     facts = pa.table({"event_id": [1, 2, 3, 4],
                       "user_id": pa.array([1, 9, 5, 42], pa.int64())})
-    out = (ray.data.from_arrow(facts)
-           .map_batches(BroadcastLookup,
-                        fn_constructor_kwargs={
-                            "dim_ref": ref, "fk_col": "user_id",
-                            "out_col": "name", "default": "?"},
-                        batch_format="pyarrow", concurrency=2)
-           .take_all())
+    out = broadcast_lookup(ray.data.from_arrow(facts), ref,
+                           fk_col="user_id", out_col="name",
+                           default="?").take_all()
     got = {r["event_id"]: r["name"] for r in out}
     assert got == {1: "one", 2: "nine", 3: "five", 4: "?"}
 
@@ -501,22 +497,76 @@ def test_run_extraction_lance_requires_wheel(ray_session, tmp_path):
 def test_broadcast_membership_semi_anti(ray_session):
     import pyarrow as pa
     import ray.data
-    from gumbo_pp_ray.stages.lookup import BroadcastMembership, broadcast_keys
+    from gumbo_pp_ray.stages.lookup import (broadcast_keys,
+                                            broadcast_membership)
 
     dim = pa.table({"k": [2, 4, 6]})
     ref = broadcast_keys(dim, "k")
     t = pa.table({"event_id": [1, 2, 3, 4], "user_id": [2, 3, 4, 9]})
     def run(mode):
-        return sorted(r["event_id"] for r in ray.data.from_arrow(t)
-                      .map_batches(BroadcastMembership,
-                                   fn_constructor_kwargs={
-                                       "dim_ref": ref,
-                                       "fk_col": "user_id",
-                                       "mode": mode},
-                                   batch_format="pyarrow",
-                                   concurrency=(1, 2)).take_all())
+        return sorted(r["event_id"] for r in broadcast_membership(
+            ray.data.from_arrow(t), ref, fk_col="user_id",
+            mode=mode).take_all())
     assert run("semi") == [1, 3]
     assert run("anti") == [2, 4]
+
+
+def test_broadcast_stages_run_as_tasks(ray_session):
+    """Every stage that reads a broadcast ref is a plain task stage: no
+    operator of these plans has an actor-pool compute."""
+    import numpy as np
+    import ray
+    import ray.data
+    from ray.data._internal.compute import ActorPoolStrategy
+    from gumbo_pp_ray.pipelines.prep_pipeline import prep_training_corpus
+    from gumbo_pp_ray.stages.corpus_stats import decontaminate, ngram_set
+    from gumbo_pp_ray.stages.lm import perplexity_scores
+    from gumbo_pp_ray.stages.lookup import (
+        broadcast_dim, broadcast_keys, broadcast_lookup,
+        broadcast_membership,
+    )
+    from gumbo_pp_ray.stages.similarity import ann_topk_ivf, ann_topk_lsh
+    from gumbo_pp_ray.stages.substring import substring_rebuild
+
+    docs = ray.data.from_arrow(pa.table({
+        "doc_id": pa.array([0, 1], pa.int64()),
+        "text": ["the quick brown fox", "a b c d e f g h i j"]}))
+    bench = ray.put(ngram_set(["the quick brown fox"], n=3))
+    model = {"vocab": np.array(["a"]), "uni": np.zeros(2, np.int64),
+             "bg_keys": np.zeros(0, np.int64),
+             "bg_counts": np.zeros(0, np.int64)}
+    rng = np.random.RandomState(0)
+    m = rng.standard_normal((6, 4))
+    emb = ray.data.from_arrow(pa.table({
+        "vec_id": pa.array(range(6), pa.int64()),
+        "embedding": pa.array(m.tolist(), pa.list_(pa.float64()))}))
+    queries = {"ids": [0, 1], "matrix": m[:2]}
+    removals = ray.data.from_arrow(pa.table({
+        "doc_id": pa.array([1], pa.int64()),
+        "rpos": pa.array([0], pa.int64())}))
+    dim = pa.table({"k": pa.array([0], pa.int64()), "v": ["x"]})
+    facts = ray.data.from_arrow(pa.table({
+        "user_id": pa.array([0, 1], pa.int64())}))
+    plans = {
+        "decontaminate": decontaminate(docs, bench),
+        "prep_training_corpus": prep_training_corpus(docs, bench),
+        "perplexity_scores": perplexity_scores(docs, model),
+        "ann_topk_lsh": ann_topk_lsh(emb, queries, dim=4, k=2),
+        "ann_topk_ivf": ann_topk_ivf(emb, queries, dim=4, k=2,
+                                     centroids=m[:2]),
+        "substring_rebuild": substring_rebuild(docs, removals,
+                                               plan="broadcast"),
+        "broadcast_lookup": broadcast_lookup(
+            facts, broadcast_dim(dim, "k", "v"), fk_col="user_id",
+            out_col="v"),
+        "broadcast_membership": broadcast_membership(
+            facts, broadcast_keys(dim, "k"), fk_col="user_id"),
+    }
+    for name, ds in plans.items():
+        actors = [op.name for op in _plan_ops(ds)
+                  if isinstance(getattr(op, "_compute", None),
+                                ActorPoolStrategy)]
+        assert not actors, (name, actors)
 
 
 def test_wave_commit_race_first_wins(ray_session, tmp_path, monkeypatch):

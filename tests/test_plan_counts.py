@@ -118,8 +118,7 @@ def test_gates_count_a_parquet_read_from_its_footers(ray_session,
     with caplog.at_level(logging.INFO, logger=sizing.__name__):
         outs = [exact_dedup(docs), minhash_lsh_pairs(docs),
                 simhash_neardup_pairs(docs),
-                prep_training_corpus(docs, ref, min_quality_milli=0,
-                                     concurrency=2),
+                prep_training_corpus(docs, ref, min_quality_milli=0),
                 minhash_lsh_pairs_incremental(docs, idx)]
         _bucketed_union(read["events"], read["orders"], None)
     assert "source=materialized" not in caplog.text
@@ -170,8 +169,7 @@ def test_prep_runs_upstream_once(ray_session, tmp_path):
     from gumbo_pp_ray.stages.corpus_stats import ngram_set
     up = Upstream(tmp_path, _docs())
     ref = ray.put(ngram_set(["the quick brown fox"], n=3))
-    prep_training_corpus(up.ds(), ref, min_quality_milli=0,
-                         concurrency=2).take_all()
+    prep_training_corpus(up.ds(), ref, min_quality_milli=0).take_all()
     assert up.runs() == 1
 
 

@@ -67,8 +67,8 @@ def test_lsh_recall_on_clustered_data(ray_session):
     q_ids = [0, 10, 20, 30, 100, 200, 399]
     queries = {"ids": q_ids, "matrix": pts[q_ids]}
     rows = ann_topk_lsh(ray.data.from_arrow(table), queries,
-                        dim=32, k=9, n_planes=10, n_flip=2,
-                        concurrency=2).take_all()
+                        dim=32, k=9, n_planes=10,
+                        n_flip=2).take_all()
     got = {}
     for r in rows:
         got.setdefault(r["query_id"], set()).add(r["neighbor_id"])
@@ -130,15 +130,15 @@ def test_ann_topk_ivf_recall(ray_session):
              for r in ann_topk(ds(), queries, k=5).take_all()}
     ivf = {(r["query_id"], r["neighbor_id"])
            for r in ann_topk_ivf(ds(), queries, dim=dim, k=5,
-                                 n_clusters=8, n_probe=3,
-                                 concurrency=2).take_all()}
+                                 n_clusters=8,
+                                 n_probe=3).take_all()}
     recall = len(exact & ivf) / len(exact)
     assert recall > 0.8, recall
     # probing every cluster = exact
     full = {(r["query_id"], r["neighbor_id"])
             for r in ann_topk_ivf(ds(), queries, dim=dim, k=5,
-                                  n_clusters=8, n_probe=8,
-                                  concurrency=2).take_all()}
+                                  n_clusters=8,
+                                  n_probe=8).take_all()}
     assert full == exact
 
 

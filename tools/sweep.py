@@ -10,7 +10,10 @@ Usage::
     python tools/sweep.py [sf_dir] [query ...]
 
 Defaults: sf_dir=/root/testdata/sf0.01, all queries.  Owns its Ray
-session (the library and __ray_entry__ never call ray.init).
+session (the library and __ray_entry__ never call ray.init).  Each
+query's line also reports ``workers``: the live ``ray::`` worker
+processes of this process's session after the query, read from /proc
+(run one sweep per session for a clean count).
 """
 
 import json
@@ -20,6 +23,24 @@ import time
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))
+
+
+def ray_workers() -> int:
+    """Live Ray worker processes (titled ``ray::<task or actor>``) in
+    this process's session; Ray's daemons keep their program names."""
+    sid, n = os.getsid(0), 0
+    for name in os.listdir("/proc"):
+        if not name.isdigit():
+            continue
+        try:
+            with open(f"/proc/{name}/stat") as f:
+                fields = f.read().rsplit(")", 1)[1].split()
+            with open(f"/proc/{name}/cmdline", "rb") as f:
+                title = f.read(5)
+        except OSError:
+            continue
+        n += int(fields[3]) == sid and title == b"ray::"
+    return n
 
 
 def main() -> int:
@@ -58,7 +79,8 @@ def main() -> int:
                 df = df.to_pandas()
         except Exception as ex:
             results[name] = {"err":
-                             f"query: {type(ex).__name__} {str(ex)[:160]}"}
+                             f"query: {type(ex).__name__} {str(ex)[:160]}",
+                             "workers": ray_workers()}
             print(name, results[name], flush=True)
             continue
         dt = time.perf_counter() - t0
@@ -80,6 +102,7 @@ def main() -> int:
             except Exception as ex:
                 results[name] = {
                     "err": f"oracle: {type(ex).__name__} {str(ex)[:160]}"}
+        results[name]["workers"] = ray_workers()
         print(name, results[name], flush=True)
 
     bad = [k for k, v in results.items()
