@@ -4,8 +4,8 @@ Re-implements, from public knowledge only, the observable semantics of
 beached/gumbo_pp's query layer (reference: /root/reference
 include/daw/gumbo_pp/*.h) on top of a from-scratch HTML5-ish tokenizer
 and tree builder (the reference delegates parsing to the external
-Google ``gumbo`` C library; we delegate to nothing — a small C scanner
-of our own, ``_scan.c``, only speeds up the tokenizer's common path).
+Google ``gumbo`` C library; we delegate to nothing — a small C builder
+of our own, ``_scan.c``, only speeds up the in-body common path).
 
 Public surface:
     parse(html)                -> Document        (gumbo_range, P2)

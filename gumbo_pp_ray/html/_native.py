@@ -1,4 +1,6 @@
-"""Build and load the ``_scan`` C extension (see ``_scan.c``).
+"""Build and load the ``_scan`` C extension (see ``_scan.c``): the
+native tokenizer and in-body tree builder of ``parser.parse`` and the
+native ``dom.release``.
 
 The extension is compiled once, at first import, with the running
 interpreter's own compiler, include directory and ``EXT_SUFFIX``
@@ -8,7 +10,8 @@ edited source builds anew and an unchanged one is never rebuilt.
 Each process compiles to a pid-unique temporary file and renames it
 into place, so processes importing at the same moment do not race.
 When the build or the load fails, ``load_scan`` logs one WARNING and
-returns ``None``; the parser then tokenizes every token in Python.
+returns ``None``; the parser then tokenizes and builds every token in
+Python, and ``parser.release`` is ``dom.release``.
 """
 
 from __future__ import annotations
@@ -65,6 +68,6 @@ def load_scan():
         detail = getattr(e, "stderr", None) or str(e)
         if isinstance(detail, bytes):       # TimeoutExpired keeps bytes
             detail = detail.decode(errors="replace")
-        _log.warning("native HTML scanner unavailable, tokenizing in "
+        _log.warning("native HTML builder unavailable, parsing in "
                      "Python: %s", detail[-2000:])
         return None

@@ -30,16 +30,22 @@ _adoption_agency); ``</p>`` with no open ``p`` synthesizes an empty
 Designed for the hot path of a Ray extraction task: one module-level
 pass, no recursion, compiled regexes shared per process.
 
-The common tokens are scanned in C: ``_scan.c`` (built at first import
-by ``_native.load_scan``) emits runs of text, of start tags that
-``_START_TAG_RE`` accepts and of end tags that ``_END_TAG_RE`` accepts,
-and stops before every other ``<`` — comments, doctype, CDATA, ``<?``,
-a bare ``<``, end tags with junk, unterminated tags, overlong names and
-the ``_SCAN_DEFER`` start tags (raw text, ``<image>``).  ``parse``'s
-loop body tokenizes that one token in Python and scanning resumes.
-The tree builder and every rule after tokenizing are the same Python
-code on both paths.  When the extension cannot be built, ``_scan`` is
-None and the loop body tokenizes everything: the same trees, slower.
+The in-body common case is built in C: ``_scan.c`` (built at first
+import by ``_native.load_scan``) tokenizes text runs, the start tags
+that ``_START_TAG_RE`` accepts and the end tags that ``_END_TAG_RE``
+accepts, and inserts each straight into the live ``_TreeBuilder`` while
+no recovery rule fires: in-body text, ordinary, void and formatting
+start tags, the table/cell markers and end tags that close the stack
+top.  It hands every other token back to the builder's Python methods
+(every token before ``<body>``, one per call; foster-parented text,
+``html``/``head``/``body``/``form``/``template``, a nested ``<a>``,
+Noah's Ark, misnested end tags, ...), and stops before every ``<`` it
+does not tokenize — comments, doctype, CDATA, ``<?``, a bare ``<``, end
+tags with junk, unterminated tags, overlong names and the
+``_SCAN_DEFER`` start tags (raw text, ``<image>``) — which ``parse``'s
+loop body tokenizes in Python.  The Python builder holds every rule;
+when the extension cannot be built, ``_scan`` is None and Python
+tokenizes and builds everything: the same trees, slower.
 """
 
 from __future__ import annotations
@@ -47,6 +53,7 @@ from __future__ import annotations
 import re
 from html import unescape
 
+from . import dom
 from ._native import load_scan
 from .dom import (
     CDATA, COMMENT, ELEMENT, TEXT, WHITESPACE,
@@ -69,6 +76,9 @@ HEAD_ELEMENTS = frozenset((
 ))
 
 _H = frozenset(("h1", "h2", "h3", "h4", "h5", "h6"))
+
+# a newline right after these start tags is dropped
+_NEWLINE_DROPPED = frozenset(("pre", "listing"))
 
 # start tag T closes the open element at the stack top when
 # top.tag in _CLOSED_BY and T in _CLOSED_BY[top.tag]
@@ -150,7 +160,6 @@ _START_TAG_RELAXED_RE = re.compile(
 _ATTR_RE = re.compile(
     r"([^\s/>=]+)(?:\s*=\s*(\"[^\"]*\"|'[^']*'|[^\s>]*))?"
 )
-_WS_RE = re.compile(r"[^ \t\n\r\f]")
 
 # parse-until-close patterns for raw-text/RCDATA content, per tag
 _RAWTEXT_CLOSE = {
@@ -158,10 +167,12 @@ _RAWTEXT_CLOSE = {
     for t in RAWTEXT_ELEMENTS | RCDATA_ELEMENTS
 }
 
-# the native scanner (None when it cannot be built) and the start tags
-# it leaves to parse's loop: raw text, and <image>'s rename
+# the native builder (None when it cannot be built), the start tags it
+# leaves to parse's loop (raw text, and <image>'s rename) and the
+# in-body start tags it hands back to start_tag's rules
 _scan = load_scan()
 _SCAN_DEFER = frozenset(_RAWTEXT_CLOSE) | {"image"}
+_BUILD_RULE_TAGS = frozenset(("html", "head", "body", "form", "template"))
 
 # insertion-mode-lite states
 _BEFORE_HTML = 0
@@ -256,7 +267,8 @@ def _decode_attr(raw: str) -> str:
 
 
 def _is_ws(s: str) -> bool:
-    return s.isspace() or not s
+    """Empty, or only HTML whitespace: TAB, LF, FF, CR and SPACE."""
+    return not s.strip(" \t\n\f\r")
 
 
 def _parse_attrs(raw: str) -> dict:
@@ -588,7 +600,7 @@ class _TreeBuilder:
 
     def text(self, raw: str, start: int, end: int):
         top = self.stack[-1]
-        if (getattr(top, "tag", "") in ("pre", "listing")
+        if (getattr(top, "tag", "") in _NEWLINE_DROPPED
                 and not top._children):
             # spec: a single newline immediately after a <pre>/<listing>
             # start tag is dropped
@@ -896,25 +908,24 @@ def parse(html: str, options: ParseOptions | None = None) -> Document:
             else:
                 tb._push(Element(ctx, {}, 0, 0, implied=True))
     stop = opts.stop_on_first_error
-    # the scanner emits runs of common tokens; each token it stops at
+    # the native builder inserts the in-body common tokens and returns
+    # the first token that needs a rule below; each '<' it stops at
     # takes one pass of the loop body, the tokenizer of last resort.
     # stop_on_first_error must end at the token that raised, so it
-    # never scans
-    scan = None if stop or _scan is None else _scan.scan
+    # never builds natively
+    build = None if stop or _scan is None else _scan.build
     while pos < n:
-        if scan is not None:
-            toks, pos = scan(html, pos, _SCAN_DEFER)
-            for tok in toks:
+        if build is not None:
+            tok, pos = build(html, pos, _SCAN_DEFER, tb)
+            if tok is not None:
                 kind = tok[0]
                 if kind == 0:
                     tb.text(tok[1], tok[2], tok[3])
                 elif kind == 1:
-                    rawattrs = tok[2]
-                    tb.start_tag(tok[1],
-                                 _parse_attrs(rawattrs) if rawattrs else {},
-                                 tok[3], tok[4], tok[5])
+                    tb.start_tag(tok[1], tok[2], tok[3], tok[4], tok[5])
                 else:
                     tb.end_tag(tok[1], tok[2], tok[3])
+                continue
             if pos >= n:
                 break
         if stop and tb.parse_errors:
@@ -1074,3 +1085,17 @@ def parse(html: str, options: ParseOptions | None = None) -> Document:
     doc.parse_errors = tb.parse_errors
     doc.errors = tb.errors
     return doc
+
+
+if _scan is not None:
+    _scan.configure(
+        element=Element, text_node=TextNode, document=Document,
+        builder=_TreeBuilder, element_kind=ELEMENT, text_kind=TEXT,
+        whitespace_kind=WHITESPACE, in_body=_IN_BODY, afe_marker=_AFE_MARKER,
+        void=VOID_ELEMENTS, closed_by=_CLOSED_BY, any_closer=_ANY_CLOSER,
+        formatting=_FORMATTING, markers=_AFE_MARKERS, scaffold=_TABLE_SCAFFOLD,
+        rule_tags=_BUILD_RULE_TAGS, pre=_NEWLINE_DROPPED,
+        no_nest=frozenset(("a",)), decode=_decode, parse_attrs=_parse_attrs)
+
+# frees a parsed tree by refcount (dom.release, in C when built)
+release = dom.release if _scan is None else _scan.release

@@ -26,9 +26,8 @@ import struct
 import numpy as np
 import pyarrow as pa
 
-from ..html.dom import release
 from ..html.extract import DEFAULT_PROFILE, ExtractProfile, extract_spans
-from ..html.parser import parse
+from ..html.parser import parse, release
 
 
 class ExtractSpans:

@@ -41,6 +41,23 @@ def test_leading_whitespace_dropped_before_html():
     assert d.children[0].tag == "html"
 
 
+def test_whitespace_is_html_whitespace_only():
+    # TAB, LF, FF, CR and SPACE only (str.isspace is wider): U+3000
+    # before any tag is text and opens the body, NBSP inside a <p> is
+    # a Text node, and VT after <html> is text too
+    d = parse("\u3000<p>x</p>")
+    body = [n for n in walk(d) if n.tag == "body"][0]
+    assert [(c.kind, getattr(c, "text", c.tag)) for c in body.children] \
+        == [(TEXT, "\u3000"), (ELEMENT, "p")]
+    p = parse("<p>\xa0</p>").children[0].children[1].children[0]
+    assert p.tag == "p"
+    assert [(c.kind, c.text) for c in p.children] == [(TEXT, "\xa0")]
+    d = parse("<html>\x0b<p>x</p>")
+    body = [n for n in walk(d) if n.tag == "body"][0]
+    assert (body.children[0].kind, body.children[0].text) == (TEXT, "\x0b")
+    assert body.children[1].tag == "p"
+
+
 def test_void_elements_do_not_nest():
     d = parse("<p>a<br>b<img src='x'>c</p>")
     p = [n for n in walk(d) if n.tag == "p"][0]

@@ -6,13 +6,19 @@ the cached ``extract_pages`` inputs of the benchmark
 ``perfbench/run.py --workload extract_pages --seed N`` run).  Each side
 and seed runs in its own fresh process; the two sides alternate which
 goes first; a process reports the minimum ``time.process_time()`` of
-its reps and whether the native HTML scanner was active
-(``"native"``: an A/B must not compare the Python fallback by
-accident).  On a host whose speed drifts, even inside one process, the
-minimum over fresh processes is the number that repeats.
+its reps and which native HTML path was active (``"native"``:
+``"build"`` for the C tree builder, ``"scan"`` for the older C
+scanner, ``null`` for the Python fallback; an A/B must not compare the
+fallback by accident).  On a host whose speed drifts, even inside one
+process, the minimum over fresh processes is the number that repeats.
+
+``--layer parse`` times ``parse()`` plus ``release()`` alone over the
+same payloads (each row's spans joined in offset order), without the
+row loop, extraction or the payload cache, so a parser change can be
+A/B'd on its own.
 
     python tools/kernel_ab.py PARENT_CHECKOUT [--seeds 1-5] [--reps 5]
-                              [--rounds 2]
+                              [--rounds 2] [--layer kernel|parse]
 
 Prints one JSON line per process, then one summary line per seed
 (each side's minimum, ``new/parent``) and the median ratio.  Children
@@ -35,25 +41,43 @@ HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 CHILD = r"""
 import glob, json, sys, time
-root, inp, reps = sys.argv[1], sys.argv[2], int(sys.argv[3])
+root, inp, reps, layer = sys.argv[1:5]
+reps = int(reps)
 sys.path.insert(0, root)
 import pyarrow.parquet as pq
 from gumbo_pp_ray.html import parser
 from gumbo_pp_ray.stages import extractor
 assert extractor.__file__.startswith(root), extractor.__file__
-batches = []
-for f in sorted(glob.glob(inp + "/*.parquet")):
-    t = pq.read_table(f, columns=["doc_id", "spans"])
-    batches += [t.slice(lo, 96) for lo in range(0, t.num_rows, 96)]
+tables = [pq.read_table(f, columns=["doc_id", "spans"])
+          for f in sorted(glob.glob(inp + "/*.parquet"))]
+if layer == "parse":
+    work = []
+    for t in tables:
+        for spans in t.column("spans").to_pylist():
+            spans.sort(key=lambda s: s["offset"])
+            work.append("".join(s["text"] or "" for s in spans))
+    parse, release = parser.parse, extractor.release
+
+    def run(ex):
+        for html in work:
+            release(parse(html))
+else:
+    work = [t.slice(lo, 96) for t in tables
+            for lo in range(0, t.num_rows, 96)]
+
+    def run(ex):
+        for b in work:
+            ex(b)
 best = float("inf")
 for _ in range(reps):
     ex = extractor.ExtractSpans()
     t0 = time.process_time()
-    for b in batches:
-        ex(b)
+    run(ex)
     best = min(best, time.process_time() - t0)
+scan = getattr(parser, "_scan", None)
 print(json.dumps({"min_cpu_s": round(best, 4),
-                  "native": getattr(parser, "_scan", None) is not None}))
+                  "native": None if scan is None else
+                  "build" if hasattr(scan, "build") else "scan"}))
 """
 
 
@@ -64,8 +88,9 @@ def seeds_arg(text: str) -> list[int]:
     return [int(s) for s in text.split(",")]
 
 
-def run_side(root: str, inp: str, reps: int, cwd: str) -> dict:
-    out = subprocess.run([sys.executable, "-c", CHILD, root, inp, str(reps)],
+def run_side(root: str, inp: str, reps: int, layer: str, cwd: str) -> dict:
+    out = subprocess.run([sys.executable, "-c", CHILD, root, inp, str(reps),
+                          layer],
                          cwd=cwd, check=True, capture_output=True, text=True)
     return json.loads(out.stdout.strip().splitlines()[-1])
 
@@ -76,6 +101,9 @@ def main(argv=None):
     ap.add_argument("--seeds", type=seeds_arg, default=seeds_arg("1-5"))
     ap.add_argument("--reps", type=int, default=5)
     ap.add_argument("--rounds", type=int, default=2)
+    ap.add_argument("--layer", choices=("kernel", "parse"), default="kernel",
+                    help="kernel: ExtractSpans batches; parse: parse() + "
+                    "release() of each row's payload")
     a = ap.parse_args(argv)
     sides = {"parent": os.path.abspath(a.parent), "new": HERE}
     ratios = []
@@ -93,7 +121,7 @@ def main(argv=None):
                 order = ("parent", "new") if (seed + r) % 2 == 0 else (
                     "new", "parent")
                 for side in order:
-                    res = run_side(sides[side], found[0], a.reps, cwd)
+                    res = run_side(sides[side], found[0], a.reps, a.layer, cwd)
                     best[side] = min(best[side], res["min_cpu_s"])
                     print(json.dumps({"seed": seed, "round": r,
                                       "side": side, **res}), flush=True)
