@@ -1,6 +1,7 @@
 """Build and load the ``_scan`` C extension (see ``_scan.c``): the
-native tokenizer and in-body tree builder of ``parser.parse`` and the
-native ``dom.release``.
+native tokenizer and in-body tree builder of ``parser.parse``, the
+native ``dom.release`` and the native span walk of
+``extract.extract_spans``.
 
 The extension is compiled once, at first import, with the running
 interpreter's own compiler, include directory and ``EXT_SUFFIX``
@@ -11,7 +12,8 @@ Each process compiles to a pid-unique temporary file and renames it
 into place, so processes importing at the same moment do not race.
 When the build or the load fails, ``load_scan`` logs one WARNING and
 returns ``None``; the parser then tokenizes and builds every token in
-Python, and ``parser.release`` is ``dom.release``.
+Python, ``parser.release`` is ``dom.release`` and ``extract_spans``
+walks in Python.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
-/* Native fast path of parser.parse: tokenizer and in-body tree builder.
+/* Native fast paths of parser.parse (tokenizer and in-body tree builder)
+ * and of extract.extract_spans (the span walk).
  *
  * build(html, pos, defer, tb) -> (token, pos)
  *
@@ -26,10 +27,22 @@
  *
  * release(root) empties every child list under root (dom.release).
  *
+ * extract(root, strip_tags, ad_tokens, normalize_ws, emit_links,
+ * kind_by_tag) -> [(kind, text, media_ref, offset)] is the walk of
+ * extract.extract_spans (before prune_links), span for span: the strip
+ * test (strip_tags here; every nonempty class/id value goes to
+ * extract._has_ad_token), media and link spans, kinded and plain block
+ * flushes, the <pre> rule and the whitespace collapse of
+ * " ".join(s.split()).  The Python loop stays the specification.  A tree
+ * the parser does not build (a child that is not an Element or a
+ * TextNode, a child list that is not a list, attrs that are not a dict, a
+ * text that is not a str) raises TypeError.
+ *
  * configure(...), called once at the end of parser.py, passes the node
  * and builder classes (their __slots__ offsets are read here from the
  * member descriptors), the node kinds and the rule sets, so tag names
- * live in parser.py only.
+ * live in parser.py only; configure_extract(...), at the end of
+ * extract.py, passes the walk's tag sets and _has_ad_token.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -42,6 +55,12 @@
 #define MAX_NAME 256
 
 #define SLOT(o, off) (*(PyObject **)((char *)(o) + (off)))
+
+#if PY_VERSION_HEX < 0x030C0000
+#define READY(s) PyUnicode_READY(s)
+#else
+#define READY(s) 0
+#endif
 
 /* set by configure() */
 static PyTypeObject *Element, *TextNode, *Document, *Builder;
@@ -521,10 +540,8 @@ build(PyObject *self, PyObject *args)
         PyErr_SetString(PyExc_TypeError, "build needs a configured builder");
         return NULL;
     }
-#if PY_VERSION_HEX < 0x030C0000
-    if (PyUnicode_READY(s) < 0)
+    if (READY(s) < 0)
         return NULL;
-#endif
     const Py_ssize_t n = PyUnicode_GET_LENGTH(s);
     if (pos < 0 || pos > n) {
         PyErr_SetString(PyExc_ValueError, "pos out of range");
@@ -641,6 +658,490 @@ release(PyObject *self, PyObject *root)
     Py_RETURN_NONE;
 }
 
+/* -- span extraction: the walk of extract.extract_spans -- */
+
+/* set by configure_extract() */
+static PyObject *s_media, *s_blocks, *k_comment, *has_ad_token;
+static int extract_configured;
+/* interned at module init */
+static PyObject *str_empty, *str_space, *str_text, *str_code, *str_media,
+                *str_link, *str_a, *str_class, *str_id, *str_src,
+                *str_data_src, *str_href;
+
+enum close { CLOSE_INLINE, CLOSE_BLOCK, CLOSE_KIND };
+
+struct frame {
+    PyObject *kids;         /* the child list being walked (strong) */
+    Py_ssize_t i;           /* its next child */
+    enum close close;
+    PyObject *kind;         /* CLOSE_KIND: the block's kind (strong) */
+    PyObject *outer;        /* CLOSE_KIND: the kind around the block */
+};
+
+struct walk {
+    PyObject *strip, *ad_tokens, *kind_by_tag, *spans;
+    int normalize, links;
+    struct frame *frames;
+    Py_ssize_t nframes, cap;
+    PyObject **buf;         /* text pieces of the open span (strong) */
+    Py_ssize_t nbuf, bufcap;
+    PyObject *kind;         /* innermost block kind (borrowed) */
+};
+
+/* pushes a frame over `kids`, which must be a list */
+static int
+push_frame(struct walk *w, PyObject *kids, enum close close, PyObject *kind)
+{
+    if (kids == NULL || !PyList_Check(kids)) {
+        PyErr_SetString(PyExc_TypeError, "_children is not a list");
+        return -1;
+    }
+    if (w->nframes == w->cap) {
+        Py_ssize_t cap = w->cap ? 2 * w->cap : 64;
+        struct frame *grown = PyMem_Resize(w->frames, struct frame, cap);
+        if (grown == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        w->frames = grown;
+        w->cap = cap;
+    }
+    struct frame *f = &w->frames[w->nframes++];
+    Py_INCREF(kids);
+    Py_XINCREF(kind);
+    *f = (struct frame){kids, 0, close, kind, w->kind};
+    if (close == CLOSE_KIND)
+        w->kind = kind;
+    return 0;
+}
+
+static void
+pop_frame(struct walk *w)
+{
+    struct frame *f = &w->frames[--w->nframes];
+    if (f->close == CLOSE_KIND)
+        w->kind = f->outer;
+    Py_DECREF(f->kids);
+    Py_XDECREF(f->kind);
+}
+
+static int
+no_slot(const char *name)
+{
+    PyErr_Format(PyExc_TypeError, "%s is not set", name);
+    return -1;
+}
+
+static int
+buf_add(struct walk *w, PyObject *text)
+{
+    if (text == NULL || !PyUnicode_Check(text)) {
+        PyErr_SetString(PyExc_TypeError, "TextNode.text is not a str");
+        return -1;
+    }
+    if (READY(text) < 0)
+        return -1;
+    if (w->nbuf == w->bufcap) {
+        Py_ssize_t cap = w->bufcap ? 2 * w->bufcap : 64;
+        PyObject **grown = PyMem_Resize(w->buf, PyObject *, cap);
+        if (grown == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        w->buf = grown;
+        w->bufcap = cap;
+    }
+    Py_INCREF(text);
+    w->buf[w->nbuf++] = text;
+    return 0;
+}
+
+static void
+buf_clear(struct walk *w)
+{
+    while (w->nbuf > 0)
+        Py_DECREF(w->buf[--w->nbuf]);
+}
+
+/* "".join(buf) */
+static PyObject *
+buf_join(struct walk *w)
+{
+    if (w->nbuf == 1) {
+        Py_INCREF(w->buf[0]);
+        return w->buf[0];
+    }
+    Py_ssize_t len = 0;
+    Py_UCS4 maxc = 0;
+    for (Py_ssize_t i = 0; i < w->nbuf; i++) {
+        len += PyUnicode_GET_LENGTH(w->buf[i]);
+        maxc = Py_MAX(maxc, PyUnicode_MAX_CHAR_VALUE(w->buf[i]));
+    }
+    PyObject *out = PyUnicode_New(len, maxc);
+    for (Py_ssize_t i = 0, at = 0; out != NULL && i < w->nbuf; i++) {
+        Py_ssize_t n = PyUnicode_GET_LENGTH(w->buf[i]);
+        if (PyUnicode_CopyCharacters(out, at, w->buf[i], 0, n) < 0)
+            Py_CLEAR(out);
+        at += n;
+    }
+    return out;
+}
+
+/* " ".join("".join(buf).split()); when nothing collapses, the pieces
+ * are only joined (one piece is returned as it is) */
+static PyObject *
+buf_collapse(struct walk *w)
+{
+    Py_ssize_t len = 0;
+    Py_UCS4 maxc = 0;
+    int gap = 0, same = 1;  /* a space is due; the output is the input */
+    for (Py_ssize_t p = 0; p < w->nbuf; p++) {
+        PyObject *s = w->buf[p];
+        const int kind = PyUnicode_KIND(s);
+        const void *d = PyUnicode_DATA(s);
+        for (Py_ssize_t i = 0, n = PyUnicode_GET_LENGTH(s); i < n; i++) {
+            Py_UCS4 c = READ(i);
+            if (Py_UNICODE_ISSPACE(c)) {
+                if (c != ' ' || gap || len == 0)
+                    same = 0;
+                gap = len > 0;
+                continue;
+            }
+            if (gap) {
+                len++;
+                maxc = Py_MAX(maxc, ' ');
+                gap = 0;
+            }
+            len++;
+            maxc = Py_MAX(maxc, c);
+        }
+    }
+    if (same && !gap)
+        return buf_join(w);
+    PyObject *out = PyUnicode_New(len, maxc);
+    if (out == NULL)
+        return NULL;
+    const int okind = PyUnicode_KIND(out);
+    void *od = PyUnicode_DATA(out);
+    Py_ssize_t j = 0;
+    gap = 0;
+    for (Py_ssize_t p = 0; p < w->nbuf; p++) {
+        PyObject *s = w->buf[p];
+        const int kind = PyUnicode_KIND(s);
+        const void *d = PyUnicode_DATA(s);
+        for (Py_ssize_t i = 0, n = PyUnicode_GET_LENGTH(s); i < n; i++) {
+            Py_UCS4 c = READ(i);
+            if (Py_UNICODE_ISSPACE(c)) {
+                gap = j > 0;
+                continue;
+            }
+            if (gap) {
+                PyUnicode_WRITE(okind, od, j++, ' ');
+                gap = 0;
+            }
+            PyUnicode_WRITE(okind, od, j++, c);
+        }
+    }
+    return out;
+}
+
+/* "".join(buf).strip("\n").rstrip() */
+static PyObject *
+buf_code(struct walk *w)
+{
+    PyObject *s = buf_join(w);
+    if (s == NULL)
+        return NULL;
+    const int kind = PyUnicode_KIND(s);
+    const void *d = PyUnicode_DATA(s);
+    Py_ssize_t a = 0, z = PyUnicode_GET_LENGTH(s);
+    while (a < z && READ(a) == '\n')
+        a++;
+    while (z > a && Py_UNICODE_ISSPACE(READ(z - 1)))
+        z--;
+    if (a == 0 && z == PyUnicode_GET_LENGTH(s))
+        return s;
+    PyObject *out = PyUnicode_Substring(s, a, z);
+    Py_DECREF(s);
+    return out;
+}
+
+/* spans.append((kind, text, ref, len(spans))) */
+static int
+emit(struct walk *w, PyObject *kind, PyObject *text, PyObject *ref)
+{
+    PyObject *off = PyLong_FromSsize_t(PyList_GET_SIZE(w->spans));
+    PyObject *span = off ? PyTuple_Pack(4, kind, text, ref, off) : NULL;
+    Py_XDECREF(off);
+    int r = span ? PyList_Append(w->spans, span) : -1;
+    Py_XDECREF(span);
+    return r;
+}
+
+/* the text span of buf, as extract_spans's flush(kind) */
+static int
+flush(struct walk *w, PyObject *kind)
+{
+    int code = PyObject_RichCompareBool(kind, str_code, Py_EQ);
+    PyObject *text = code < 0 ? NULL
+                     : !w->normalize ? buf_join(w)
+                     : code ? buf_code(w) : buf_collapse(w);
+    buf_clear(w);
+    if (text == NULL)
+        return -1;
+    int r = 0, keep = PyUnicode_GET_LENGTH(text) > 0;
+    if (keep && code) {         /* a whitespace-only code block is dropped */
+        const int k = PyUnicode_KIND(text);
+        const void *d = PyUnicode_DATA(text);
+        Py_ssize_t i = 0, n = PyUnicode_GET_LENGTH(text);
+        while (i < n && Py_UNICODE_ISSPACE(PyUnicode_READ(k, d, i)))
+            i++;
+        keep = i < n;
+    }
+    if (keep)
+        r = emit(w, kind, text, str_empty);
+    Py_DECREF(text);
+    return r;
+}
+
+/* profile.is_stripped's class/id test of one attribute value */
+static int
+ad_value(struct walk *w, PyObject *v)
+{
+    int truth = PyObject_IsTrue(v);
+    if (truth <= 0)
+        return truth;
+    PyObject *r = PyObject_CallFunctionObjArgs(has_ad_token, v, w->ad_tokens,
+                                               NULL);
+    if (r == NULL)
+        return -1;
+    truth = PyObject_IsTrue(r);
+    Py_DECREF(r);
+    return truth;
+}
+
+static int
+is_stripped(struct walk *w, PyObject *tag, PyObject *attrs)
+{
+    int r = PySequence_Contains(w->strip, tag);
+    if (r != 0 || PyDict_GET_SIZE(attrs) == 0)
+        return r;
+    PyObject *keys[] = {str_class, str_id};
+    for (int i = 0; i < 2 && r == 0; i++) {
+        PyObject *v = PyDict_GetItemWithError(attrs, keys[i]);
+        if (v == NULL)
+            r = PyErr_Occurred() ? -1 : 0;
+        else {
+            Py_INCREF(v);
+            r = ad_value(w, v);
+            Py_DECREF(v);
+        }
+    }
+    return r;
+}
+
+/* attrs.get(key) when truthy (a new reference), else NULL; -1 on error */
+static int
+truthy_attr(PyObject *attrs, PyObject *key, PyObject **v)
+{
+    *v = PyDict_GetItemWithError(attrs, key);
+    if (*v == NULL)
+        return PyErr_Occurred() ? -1 : 0;
+    Py_INCREF(*v);
+    int truth = PyObject_IsTrue(*v);
+    if (truth <= 0)
+        Py_CLEAR(*v);
+    return truth;
+}
+
+/* text.content_text(el, normalize_ws=normalize, include_comments=False):
+ * every text, CDATA and whitespace leaf under el, stripped subtrees
+ * included.  buf is empty on entry and on return. */
+static PyObject *
+link_text(struct walk *w, PyObject *el)
+{
+    Py_ssize_t base = w->nframes;
+    if (push_frame(w, SLOT(el, e_children), CLOSE_INLINE, NULL) < 0)
+        return NULL;
+    while (w->nframes > base) {
+        struct frame *f = &w->frames[w->nframes - 1];
+        if (f->i >= PyList_GET_SIZE(f->kids)) {
+            pop_frame(w);
+            continue;
+        }
+        PyObject *node = PyList_GET_ITEM(f->kids, f->i++);
+        int r = 0;
+        Py_INCREF(node);
+        if (Py_IS_TYPE(node, TextNode)) {
+            PyObject *kind = SLOT(node, n_kind);
+            r = kind == NULL ? no_slot("TextNode.kind")
+                : PyObject_RichCompareBool(kind, k_comment, Py_EQ);
+            if (r == 0)
+                r = buf_add(w, SLOT(node, t_text));
+        }
+        else if (Py_IS_TYPE(node, Element)) {
+            PyObject *kids = SLOT(node, e_children);
+            if (kids == NULL || !PyList_Check(kids)
+                    || PyList_GET_SIZE(kids) > 0)
+                r = push_frame(w, kids, CLOSE_INLINE, NULL);
+        }
+        else {
+            PyErr_SetString(PyExc_TypeError, "tree node is not an "
+                            "Element or a TextNode");
+            r = -1;
+        }
+        Py_DECREF(node);
+        if (r < 0) {
+            while (w->nframes > base)
+                pop_frame(w);
+            buf_clear(w);
+            return NULL;
+        }
+    }
+    PyObject *text = w->nbuf == 0 ? Py_NewRef(str_empty)
+                     : w->normalize ? buf_collapse(w) : buf_join(w);
+    buf_clear(w);
+    return text;
+}
+
+/* one element of the walk: stripped, a media or link span, or entered */
+static int
+visit_element(struct walk *w, PyObject *el)
+{
+    PyObject *tag = SLOT(el, e_tag), *attrs = SLOT(el, e_attrs), *ref;
+    if (tag == NULL || attrs == NULL || !PyDict_Check(attrs)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "Element has no tag or its attrs is not a dict");
+        return -1;
+    }
+    int r = is_stripped(w, tag, attrs);
+    if (r != 0)
+        return r < 0 ? -1 : 0;              /* subtree never entered */
+    if ((r = PySet_Contains(s_media, tag)) != 0) {
+        if (r < 0 || (w->nbuf && flush(w, w->kind) < 0))
+            return -1;
+        if (truthy_attr(attrs, str_src, &ref) < 0
+                || (ref == NULL && truthy_attr(attrs, str_data_src, &ref) < 0))
+            return -1;
+        r = emit(w, str_media, str_empty, ref ? ref : str_empty);
+        Py_XDECREF(ref);
+        return r;
+    }
+    if (w->links && (r = PyObject_RichCompareBool(tag, str_a, Py_EQ)) > 0)
+        r = PyDict_Contains(attrs, str_href);
+    if (r < 0)
+        return -1;
+    if (r) {
+        if (w->nbuf && flush(w, w->kind) < 0)
+            return -1;
+        PyObject *text = link_text(w, el);
+        if (text == NULL)
+            return -1;
+        ref = PyDict_GetItemWithError(attrs, str_href);
+        if (ref == NULL && !PyErr_Occurred())
+            PyErr_SetObject(PyExc_KeyError, str_href);
+        r = ref ? emit(w, str_link, text, ref) : -1;
+        Py_DECREF(text);
+        return r;
+    }
+    PyObject *kids = SLOT(el, e_children);
+    PyObject *kind = PyDict_GetItemWithError(w->kind_by_tag, tag);
+    enum close close = CLOSE_INLINE;
+    if (kind != NULL)
+        close = CLOSE_KIND;
+    else if (PyErr_Occurred() || (r = PySet_Contains(s_blocks, tag)) < 0)
+        return -1;
+    else if (r)
+        close = CLOSE_BLOCK;
+    Py_XINCREF(kind);
+    if (close != CLOSE_INLINE && w->nbuf && flush(w, w->kind) < 0)
+        r = -1;
+    /* an empty block closes with nothing to flush */
+    else if (kids != NULL && PyList_Check(kids) && PyList_GET_SIZE(kids) == 0)
+        r = 0;
+    else
+        r = push_frame(w, kids, close, kind);
+    Py_XDECREF(kind);
+    return r;
+}
+
+static int
+visit(struct walk *w, PyObject *node)
+{
+    if (Py_IS_TYPE(node, TextNode)) {
+        PyObject *kind = SLOT(node, n_kind);
+        if (kind == NULL)
+            return no_slot("TextNode.kind");
+        int r = PyObject_RichCompareBool(kind, k_text, Py_EQ);
+        if (r != 0)
+            return r < 0 ? -1 : buf_add(w, SLOT(node, t_text));
+        if (w->nbuf == 0)           /* whitespace between blocks: dropped */
+            return 0;
+        r = PyObject_RichCompareBool(kind, k_whitespace, Py_EQ);
+        if (r <= 0)
+            return r;               /* comments, CDATA: never content */
+        return buf_add(w, w->normalize ? str_space : SLOT(node, t_text));
+    }
+    if (Py_IS_TYPE(node, Element))
+        return visit_element(w, node);
+    PyErr_SetString(PyExc_TypeError,
+                    "tree node is not an Element or a TextNode");
+    return -1;
+}
+
+static PyObject *
+extract(PyObject *self, PyObject *args)
+{
+    PyObject *root;
+    struct walk w = {0};
+    if (!PyArg_ParseTuple(args, "OOOppO!:extract", &root, &w.strip,
+                          &w.ad_tokens, &w.normalize, &w.links, &PyDict_Type,
+                          &w.kind_by_tag))
+        return NULL;
+    if (!configured || !extract_configured
+            || !(Py_IS_TYPE(root, Document) || Py_IS_TYPE(root, Element))) {
+        PyErr_SetString(PyExc_TypeError,
+                        "extract needs a configured Document or Element");
+        return NULL;
+    }
+    if ((w.spans = PyList_New(0)) == NULL)
+        return NULL;
+    w.kind = str_text;
+    if (push_frame(&w, children_of(root), CLOSE_INLINE, NULL) < 0)
+        goto fail;
+    while (w.nframes > 0) {
+        struct frame *f = &w.frames[w.nframes - 1];
+        if (f->i < PyList_GET_SIZE(f->kids)) {
+            PyObject *node = PyList_GET_ITEM(f->kids, f->i++);
+            Py_INCREF(node);
+            int r = visit(&w, node);
+            Py_DECREF(node);
+            if (r < 0)
+                goto fail;
+            continue;
+        }
+        /* the element of f ends: a block flushes its text with the
+         * innermost kind (its own, for a kinded block), as the Python
+         * walk's markers do */
+        if (f->close != CLOSE_INLINE && w.nbuf && flush(&w, w.kind) < 0)
+            goto fail;
+        pop_frame(&w);
+    }
+    if (w.nbuf && flush(&w, w.kind) < 0)
+        goto fail;
+    PyMem_Free(w.frames);
+    PyMem_Free(w.buf);
+    return w.spans;
+fail:
+    while (w.nframes > 0)
+        pop_frame(&w);
+    buf_clear(&w);
+    PyMem_Free(w.frames);
+    PyMem_Free(w.buf);
+    Py_DECREF(w.spans);
+    return NULL;
+}
+
 /* -- configuration -- */
 
 static int
@@ -724,15 +1225,42 @@ configure(PyObject *self, PyObject *args, PyObject *kw)
     Py_RETURN_NONE;
 }
 
+static PyObject *
+configure_extract(PyObject *self, PyObject *args, PyObject *kw)
+{
+    static char *kwlist[] = {"media", "blocks", "comment_kind",
+                             "has_ad_token", NULL};
+    PyObject *media, *blocks, *comment, *ad;
+    if (!PyArg_ParseTupleAndKeywords(
+            args, kw, "O!O!O!O:configure_extract", kwlist,
+            &PyFrozenSet_Type, &media, &PyFrozenSet_Type, &blocks,
+            &PyLong_Type, &comment, &ad))
+        return NULL;
+    PyObject **keep[] = {&s_media, &s_blocks, &k_comment, &has_ad_token};
+    PyObject *vals[] = {media, blocks, comment, ad};
+    for (size_t i = 0; i < sizeof vals / sizeof *vals; i++) {
+        Py_INCREF(vals[i]);
+        Py_XSETREF(*keep[i], vals[i]);
+    }
+    extract_configured = 1;
+    Py_RETURN_NONE;
+}
+
 static PyMethodDef methods[] = {
     {"build", build, METH_VARARGS,
      "build(html, pos, defer, tb) -> (token, pos): insert the in-body "
      "common tokens into tb; return the first that needs a Python rule"},
     {"release", release, METH_O,
      "release(root): empty every child list under root"},
+    {"extract", extract, METH_VARARGS,
+     "extract(root, strip_tags, ad_tokens, normalize_ws, emit_links, "
+     "kind_by_tag) -> spans: the walk of extract.extract_spans"},
     {"configure", (PyCFunction)(void (*)(void))configure,
      METH_VARARGS | METH_KEYWORDS,
      "configure(**kw): node classes, node kinds and rule sets"},
+    {"configure_extract", (PyCFunction)(void (*)(void))configure_extract,
+     METH_VARARGS | METH_KEYWORDS,
+     "configure_extract(**kw): the span walk's tag sets and ad-token test"},
     {NULL, NULL, 0, NULL},
 };
 
@@ -743,5 +1271,18 @@ static struct PyModuleDef module = {
 PyMODINIT_FUNC
 PyInit__scan(void)
 {
+    struct {
+        PyObject **s;
+        const char *value;
+    } strs[] = {
+        {&str_empty, ""}, {&str_space, " "}, {&str_text, "text"},
+        {&str_code, "code"}, {&str_media, "media"}, {&str_link, "link"},
+        {&str_a, "a"}, {&str_class, "class"}, {&str_id, "id"},
+        {&str_src, "src"}, {&str_data_src, "data-src"}, {&str_href, "href"}};
+    for (size_t i = 0; i < sizeof strs / sizeof *strs; i++)
+        if (*strs[i].s == NULL
+                && (*strs[i].s = PyUnicode_InternFromString(strs[i].value))
+                   == NULL)
+            return NULL;
     return PyModule_Create(&module);
 }

@@ -28,11 +28,20 @@ SURVEY.md §2.4 M21), and emits an ordered span sequence::
   they are never main content. Divergence is deliberate and tested;
   the faithful reference semantics remain available via
   ``text.content_text``.
+
+The walk runs in C (``_scan.extract``, built with the parser's
+extension) whenever the extension is loaded, the profile is a plain
+``ExtractProfile`` and the root is a ``Document`` or an ``Element``.
+The Python loop below is its specification, span for span, and the
+fallback for everything else: no extension, a profile subclass (which
+may override ``is_stripped``), any other root.
 """
 
 from __future__ import annotations
 
-from .dom import TEXT, WHITESPACE, Element, Node, TextNode
+from .dom import COMMENT, TEXT, WHITESPACE, Document, Element, Node, TextNode
+from .parser import _scan
+from .text import content_text
 from . import select as match
 
 # tags whose entire subtree is boilerplate
@@ -143,6 +152,22 @@ def extract_spans(doc: Node, profile: ExtractProfile = DEFAULT_PROFILE):
     Iterative DFS with an explicit stack (mega-doc safe); skipped
     subtrees are never entered (O(kept nodes)).
     """
+    cls = doc.__class__
+    if (_scan is not None and type(profile) is ExtractProfile
+            and (cls is Document or cls is Element)):
+        spans = _scan.extract(doc, profile.strip_tags, profile.ad_tokens,
+                              profile.normalize_ws, profile.emit_links,
+                              profile.kind_by_tag)
+    else:
+        spans = _walk(doc, profile)
+    if profile.prune_links:
+        return prune_link_runs(spans)
+    return spans
+
+
+def _walk(doc: Node, profile: ExtractProfile) -> list:
+    """The span walk in Python: the specification of ``_scan.extract``
+    and its fallback."""
     normalize = profile.normalize_ws
     kind_by_tag = profile.kind_by_tag
     is_stripped = profile.is_stripped
@@ -207,7 +232,6 @@ def extract_spans(doc: Node, profile: ExtractProfile = DEFAULT_PROFILE):
         if emit_links and tag == "a" and "href" in node.attrs:
             if buf:
                 flush(kind_stack[-1])
-            from .text import content_text
             txt = content_text(node, normalize_ws=normalize,
                                include_comments=False)
             spans.append(("link", txt, node.attrs["href"], len(spans)))
@@ -228,8 +252,6 @@ def extract_spans(doc: Node, profile: ExtractProfile = DEFAULT_PROFILE):
 
     if buf:
         flush(kind_stack[-1])
-    if profile.prune_links:
-        return prune_link_runs(spans)
     return spans
 
 
@@ -245,7 +267,6 @@ def scrape_table(doc: Node, scope: "match.Selector" = None,
     subtree) for the initial scope search.
     """
     from .walk import find_first, find_all, subtree, walk
-    from .text import content_text
 
     if scope is None:
         scope_node = find_first(walk(doc), match.TagIs("table"))
@@ -316,7 +337,6 @@ def extract_metadata(doc: Node) -> dict:
     title/canonical/lang; og: properties collect into a dict.
     """
     from .walk import walk
-    from .text import content_text
 
     meta = {"title": "", "description": "", "keywords": "",
             "canonical": "", "lang": "", "og": {}}
@@ -344,3 +364,8 @@ def extract_metadata(doc: Node) -> dict:
         elif tag == "body":
             break                       # metadata lives in head
     return meta
+
+
+if _scan is not None:
+    _scan.configure_extract(media=MEDIA_TAGS, blocks=_BLOCK_TAGS,
+                            comment_kind=COMMENT, has_ad_token=_has_ad_token)

@@ -7,18 +7,21 @@ the cached ``extract_pages`` inputs of the benchmark
 and seed runs in its own fresh process; the two sides alternate which
 goes first; a process reports the minimum ``time.process_time()`` of
 its reps and which native HTML path was active (``"native"``:
-``"build"`` for the C tree builder, ``"scan"`` for the older C
-scanner, ``null`` for the Python fallback; an A/B must not compare the
-fallback by accident).  On a host whose speed drifts, even inside one
+``"extract"`` for the C span walk with the C tree builder, ``"build"``
+for the C tree builder alone, ``"scan"`` for the older C scanner,
+``null`` for the Python fallback; an A/B must not compare the fallback
+by accident).  On a host whose speed drifts, even inside one
 process, the minimum over fresh processes is the number that repeats.
 
 ``--layer parse`` times ``parse()`` plus ``release()`` alone over the
 same payloads (each row's spans joined in offset order), without the
 row loop, extraction or the payload cache, so a parser change can be
-A/B'd on its own.
+A/B'd on its own.  ``--layer extract`` parses those payloads once,
+untimed, and times ``extract_spans`` alone over the trees (default
+profile), the A/B for a change to the span walk.
 
     python tools/kernel_ab.py PARENT_CHECKOUT [--seeds 1-5] [--reps 5]
-                              [--rounds 2] [--layer kernel|parse]
+                              [--rounds 2] [--layer kernel|parse|extract]
 
 Prints one JSON line per process, then one summary line per seed
 (each side's minimum, ``new/parent``) and the median ratio.  Children
@@ -50,24 +53,31 @@ from gumbo_pp_ray.stages import extractor
 assert extractor.__file__.startswith(root), extractor.__file__
 tables = [pq.read_table(f, columns=["doc_id", "spans"])
           for f in sorted(glob.glob(inp + "/*.parquet"))]
-if layer == "parse":
-    work = []
-    for t in tables:
-        for spans in t.column("spans").to_pylist():
-            spans.sort(key=lambda s: s["offset"])
-            work.append("".join(s["text"] or "" for s in spans))
-    parse, release = parser.parse, extractor.release
-
-    def run(ex):
-        for html in work:
-            release(parse(html))
-else:
+if layer == "kernel":
     work = [t.slice(lo, 96) for t in tables
             for lo in range(0, t.num_rows, 96)]
 
     def run(ex):
         for b in work:
             ex(b)
+else:
+    work = []
+    for t in tables:
+        for spans in t.column("spans").to_pylist():
+            spans.sort(key=lambda s: s["offset"])
+            work.append("".join(s["text"] or "" for s in spans))
+    parse, release = parser.parse, extractor.release
+    if layer == "parse":
+        def run(ex):
+            for html in work:
+                release(parse(html))
+    else:
+        docs = [parse(html) for html in work]
+        extract_spans = extractor.extract_spans
+
+        def run(ex):
+            for doc in docs:
+                extract_spans(doc)
 best = float("inf")
 for _ in range(reps):
     ex = extractor.ExtractSpans()
@@ -77,6 +87,7 @@ for _ in range(reps):
 scan = getattr(parser, "_scan", None)
 print(json.dumps({"min_cpu_s": round(best, 4),
                   "native": None if scan is None else
+                  "extract" if hasattr(scan, "extract") else
                   "build" if hasattr(scan, "build") else "scan"}))
 """
 
@@ -101,9 +112,11 @@ def main(argv=None):
     ap.add_argument("--seeds", type=seeds_arg, default=seeds_arg("1-5"))
     ap.add_argument("--reps", type=int, default=5)
     ap.add_argument("--rounds", type=int, default=2)
-    ap.add_argument("--layer", choices=("kernel", "parse"), default="kernel",
+    ap.add_argument("--layer", choices=("kernel", "parse", "extract"),
+                    default="kernel",
                     help="kernel: ExtractSpans batches; parse: parse() + "
-                    "release() of each row's payload")
+                    "release() of each row's payload; extract: "
+                    "extract_spans() over the parsed payloads")
     a = ap.parse_args(argv)
     sides = {"parent": os.path.abspath(a.parent), "new": HERE}
     ratios = []
