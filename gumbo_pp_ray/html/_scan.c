@@ -1,29 +1,48 @@
-/* Native fast paths of parser.parse (tokenizer and in-body tree builder)
- * and of extract.extract_spans (the span walk).
+/* Native fast paths of parser.parse (tokenizer and tree builder) and of
+ * extract.extract_spans (the span walk).
  *
  * build(html, pos, defer, tb) -> (token, pos)
  *
- * Starting at pos, tokenizes the tokens that the tokenizer regexes of
- * parser.py accept on their strict path (text runs up to a '<',
- * _START_TAG_RE start tags, _END_TAG_RE end tags; names lowercased and
- * interned) and inserts each straight into the live _TreeBuilder `tb`:
- * it updates tb.stack and tb.afe and reads tb.mode, tb.afe_dirty,
- * tb.body and tb.html.  It does only what the builder's in-body common
- * case does, with no recovery rule firing: text (entities through
- * parser._decode; HTML-whitespace runs become Whitespace nodes),
- * ordinary and void start tags (attributes through parser._parse_attrs,
- * the implied-end closers loop), formatting start tags with their
- * active-formatting entry, the table/cell markers, and end tags that
- * close the stack top.  The first token that needs a Python rule is
+ * Starting at pos, tokenizes what the tokenizer of parser.parse accepts
+ * on its strict path and inserts each token straight into the live
+ * _TreeBuilder `tb`: it updates tb.stack, tb.afe, tb.mode, tb.html,
+ * tb.head, tb.body and tb.doc.doctype, and reads tb.afe_dirty.  Tokens:
+ * text runs up to a '<', _START_TAG_RE start tags and _END_TAG_RE end
+ * tags (names lowercased and interned), plain <!--...--> comments and a
+ * <!DOCTYPE ...>.  It does what the builder does while no recovery rule
+ * fires:
+ *   - the well-formed scaffold: the doctype and <html> before <html>,
+ *     <head> before <head>, head elements and </head> in head, <body>
+ *     after </head>, and the whitespace those modes drop or keep;
+ *   - in body: text, ordinary, void and formatting start tags (the
+ *     implied-end closers loop, the active-formatting entry), the
+ *     table/cell markers, end tags that close the stack top, and
+ *     non-formatting end tags below the top (end_tag's stack walk:
+ *     misnested-end-tag and unmatched-end-tag errors through tb.error;
+ *     </body> and </html> record their offsets and stay open);
+ *   - raw text and RCDATA (parser._RAWTEXT_CLOSE tags) whenever the
+ *     element it inserted stays on the stack top, with the case-
+ *     insensitive close search of _RAWTEXT_CLOSE and textarea's
+ *     leading-newline rule;
+ *   - comments, appended to the stack top in every mode.
+ * Attributes are parsed here as parser._parse_attrs does (values through
+ * _decode_attr's attribute-context rule) and text and RCDATA character
+ * references decoded as html.unescape does; the Python functions stay
+ * the specification.  The first token that needs a Python rule is
  * returned, not inserted, as
  *   (0, text, start, end)
  *   (1, name, attrs, start, end, self_closing)
  *   (2, name, start, end)
- * with pos just past it; outside in-body mode that is every token, one
- * per call.  (None, pos) stops at a '<' that only parse's loop
- * tokenizes: comments, '<!', '<?', a bare '<', end tags carrying junk,
- * unterminated tags and quotes, names of MAX_NAME or more characters,
- * and start tags whose name is in the frozenset `defer`.
+ * with pos just past it: implied html/head/body, duplicate structural
+ * tags, late head elements, foster-parented text, text while formatting
+ * is dirty, <form>/<template>, a nested <a>, Noah's Ark, the adoption
+ * agency, </p> with no open p, ...  (None, pos) stops at a '<' that only
+ * parse's loop tokenizes: a comment closed abruptly, by '--!>' or by the
+ * end of input, '<!' other than a plain comment or the first doctype
+ * before <html>, '<?', a bare '<', end tags carrying junk, unterminated
+ * tags and quotes, names of MAX_NAME or more characters, start tags whose
+ * name is in the frozenset `defer`, and raw-text start tags that need a
+ * rule.
  *
  * release(root) empties every child list under root (dom.release).
  *
@@ -38,11 +57,12 @@
  * TextNode, a child list that is not a list, attrs that are not a dict, a
  * text that is not a str) raises TypeError.
  *
- * configure(...), called once at the end of parser.py, passes the node
+ * configure(**kw), called once at the end of parser.py, passes the node
  * and builder classes (their __slots__ offsets are read here from the
- * member descriptors), the node kinds and the rule sets, so tag names
- * live in parser.py only; configure_extract(...), at the end of
- * extract.py, passes the walk's tag sets and _has_ad_token.
+ * member descriptors), the node kinds, the insertion modes, the rule sets
+ * and the character-reference tables, so tag names and entities live in
+ * Python only; configure_extract(...), at the end of extract.py, passes
+ * the walk's tag sets and _has_ad_token.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -53,6 +73,7 @@
 #endif
 
 #define MAX_NAME 256
+#define MAX_ENTITY 32       /* html.unescape's {1,32} name run */
 
 #define SLOT(o, off) (*(PyObject **)((char *)(o) + (off)))
 
@@ -68,14 +89,20 @@ static Py_ssize_t n_kind, n_parent, n_index;            /* Node */
 static Py_ssize_t e_tag, e_attrs, e_children, e_start, e_stag_end,
                   e_etag_start, e_end, e_implied;       /* Element */
 static Py_ssize_t t_text, t_start, t_end;               /* TextNode */
-static Py_ssize_t d_children;                           /* Document */
-static Py_ssize_t b_stack, b_afe, b_mode, b_afe_dirty, b_html, b_body;
-static PyObject *k_element, *k_text, *k_whitespace, *afe_marker;
+static Py_ssize_t d_children, d_doctype;                /* Document */
+static Py_ssize_t b_stack, b_afe, b_mode, b_afe_dirty, b_html, b_head,
+                  b_body;                               /* _TreeBuilder */
+static PyObject *k_element, *k_text, *k_whitespace, *k_comment, *afe_marker;
 static PyObject *s_void, *closed_by, *s_closer, *s_formatting, *s_markers,
-                *s_scaffold, *s_rule_tags, *s_pre, *s_no_nest;
-static PyObject *decode, *parse_attrs;
-static long in_body_mode;
+                *s_scaffold, *s_rule_tags, *s_pre, *s_no_nest, *s_head,
+                *s_raw, *s_rcdata;
+static PyObject *entities, *invalid_charrefs, *invalid_codepoints, *modes;
+static long before_html, before_head, in_head, after_head, in_body;
 static int configured;
+/* interned at module init */
+static PyObject *str_empty, *str_html, *str_head, *str_body, *str_p, *str_textarea,
+                *str_error, *str_lower, *str_misnested, *str_unmatched,
+                *str_eof_rawtext, *str_comment_close, *str_comment_bang;
 
 /* -- tokenizer: the only code that reads characters per kind -- */
 
@@ -94,10 +121,15 @@ is_alpha(Py_UCS4 c)
 }
 
 static inline int
+is_digit(Py_UCS4 c)
+{
+    return c >= '0' && c <= '9';
+}
+
+static inline int
 is_name(Py_UCS4 c)          /* [a-zA-Z0-9:_-] */
 {
-    return is_alpha(c) || (c >= '0' && c <= '9') || c == ':' || c == '_'
-           || c == '-';
+    return is_alpha(c) || is_digit(c) || c == ':' || c == '_' || c == '-';
 }
 
 #define READ(i) PyUnicode_READ(kind, d, (i))
@@ -181,11 +213,398 @@ is_ws_run(PyObject *s, Py_ssize_t a, Py_ssize_t b)
     return 1;
 }
 
+/* s[at:] starts with the ASCII text lit; ci: ASCII case-insensitively */
+static int
+starts(PyObject *s, Py_ssize_t at, const char *lit, int ci)
+{
+    const int kind = PyUnicode_KIND(s);
+    const void *d = PyUnicode_DATA(s);
+    Py_ssize_t n = PyUnicode_GET_LENGTH(s);
+    for (; *lit; lit++, at++) {
+        if (at >= n)
+            return 0;
+        Py_UCS4 c = READ(at);
+        if (ci && c < 128 && is_alpha(c))
+            c |= 0x20;
+        if (c != (Py_UCS4)*lit)
+            return 0;
+    }
+    return 1;
+}
+
+/* c matches the lowercase ASCII letter `low` under re.IGNORECASE: its
+ * two ASCII cases, and the non-ASCII letters Unicode case folding maps
+ * onto i, k and s */
+static inline int
+ci_letter(Py_UCS4 c, char low)
+{
+    if (c < 128)
+        return (c | 0x20) == (Py_UCS4)low;
+    return (low == 'i' && (c == 0x130 || c == 0x131))
+           || (low == 'k' && c == 0x212A) || (low == 's' && c == 0x17F);
+}
+
+/* parser._RAWTEXT_CLOSE[name].search(s, pos).start(): the first "</name"
+ * (case-insensitive) followed by whitespace, '/' or '>'; -1 if none, -2
+ * on error */
+static Py_ssize_t
+rawtext_close(PyObject *s, Py_ssize_t pos, const struct tag *t)
+{
+    const int kind = PyUnicode_KIND(s);
+    const void *d = PyUnicode_DATA(s);
+    Py_ssize_t n = PyUnicode_GET_LENGTH(s);
+    for (Py_ssize_t p = pos;; p++) {
+        p = PyUnicode_FindChar(s, '<', p, n, 1);
+        if (p < 0)
+            return p;
+        if (p + 2 + t->name_len >= n)   /* no room for the lookahead */
+            return -1;
+        if (READ(p + 1) != '/')
+            continue;
+        Py_ssize_t i = 0;
+        while (i < t->name_len && ci_letter(READ(p + 2 + i), t->name[i]))
+            i++;
+        if (i < t->name_len)
+            continue;
+        Py_UCS4 c = READ(p + 2 + i);
+        if (c == '/' || c == '>' || Py_UNICODE_ISSPACE(c))
+            return p;
+    }
+}
+
+/* -- character references -- */
+
+/* the decoded text.  It is never longer than its source, so a buffer of
+ * the source's length holds it; it starts at the source's character
+ * width and widens when a decoded character needs it.  After a failed
+ * allocation (failed, with the exception set) every put is a no-op. */
+struct out {
+    void *buf;
+    int kind, failed;
+    Py_ssize_t n, cap;
+};
+
+static void
+put(struct out *o, Py_UCS4 c)
+{
+    if (o->failed)
+        return;
+    Py_UCS4 max = o->kind == PyUnicode_1BYTE_KIND ? 0xFF
+                  : o->kind == PyUnicode_2BYTE_KIND ? 0xFFFF : 0x10FFFF;
+    if (c > max) {
+        int kind = c > 0xFFFF ? PyUnicode_4BYTE_KIND : PyUnicode_2BYTE_KIND;
+        void *wide = PyMem_Malloc(o->cap * kind);
+        if (wide == NULL) {
+            PyErr_NoMemory();
+            o->failed = 1;
+            return;
+        }
+        for (Py_ssize_t i = 0; i < o->n; i++)
+            PyUnicode_WRITE(kind, wide, i, PyUnicode_READ(o->kind, o->buf, i));
+        PyMem_Free(o->buf);
+        o->buf = wide;
+        o->kind = kind;
+    }
+    PyUnicode_WRITE(o->kind, o->buf, o->n++, c);
+}
+
+static void
+put_str(struct out *o, PyObject *v)
+{
+    for (Py_ssize_t i = 0, k = PyUnicode_GET_LENGTH(v); i < k; i++)
+        put(o, PyUnicode_READ_CHAR(v, i));
+}
+
+/* s[a:z], never wider than o (o starts at s's width) */
+static void
+put_range(struct out *o, PyObject *s, Py_ssize_t a, Py_ssize_t z)
+{
+    const int kind = PyUnicode_KIND(s);
+    const void *d = PyUnicode_DATA(s);
+    if (o->failed || a >= z)
+        return;
+    if (kind == o->kind)
+        memcpy((char *)o->buf + o->n * kind, (const char *)d + a * kind,
+               (z - a) * kind);
+    else
+        for (Py_ssize_t i = a; i < z; i++)
+            PyUnicode_WRITE(o->kind, o->buf, o->n + i - a, READ(i));
+    o->n += z - a;
+}
+
+/* the numeric reference whose '#' is at p (html.unescape's
+ * #[0-9]+;? | #[xX][0-9a-fA-F]+;?), written to o: its end, 0 if the
+ * text there is no numeric reference, -1 on error */
+static Py_ssize_t
+numeric_ref(PyObject *s, Py_ssize_t p, Py_ssize_t z, struct out *o)
+{
+    const int kind = PyUnicode_KIND(s);
+    const void *d = PyUnicode_DATA(s);
+    Py_ssize_t q = p + 1;
+    int hex = q < z && (READ(q) | 0x20) == 'x';
+    long num = 0;
+    q += hex;
+    Py_ssize_t first = q;
+    for (; q < z; q++) {
+        Py_UCS4 c = READ(q);
+        int v = is_digit(c) ? (int)(c - '0')
+                : hex && (c | 0x20) >= 'a' && (c | 0x20) <= 'f'
+                ? (int)((c | 0x20) - 'a' + 10) : -1;
+        if (v < 0)
+            break;
+        if (num <= 0x10FFFF)            /* past it, the value is moot */
+            num = num * (hex ? 16 : 10) + v;
+    }
+    if (q == first)
+        return 0;
+    q += q < z && READ(q) == ';';
+    if (num < 0xA0 || (num >= 0xD800 && num <= 0xDFFF) || num >= 0xFDD0) {
+        PyObject *key = PyLong_FromLong(num);
+        if (key == NULL)
+            return -1;
+        PyObject *v = PyDict_GetItemWithError(invalid_charrefs, key);
+        int bad = v == NULL && !PyErr_Occurred()
+                  ? PySet_Contains(invalid_codepoints, key) : 0;
+        Py_DECREF(key);
+        if (bad < 0 || PyErr_Occurred())
+            return -1;
+        if (v != NULL) {
+            put_str(o, v);
+            return q;
+        }
+        if ((num >= 0xD800 && num <= 0xDFFF) || num > 0x10FFFF) {
+            put(o, 0xFFFD);
+            return q;
+        }
+        if (bad)
+            return q;
+    }
+    put(o, (Py_UCS4)num);
+    return q;
+}
+
+
+/* entities.get(s[a:a+len] + (";" if semi else "")), s[a:a+len] ASCII;
+ * borrowed, NULL if absent or on error */
+static PyObject *
+entity(PyObject *s, Py_ssize_t a, Py_ssize_t len, int semi)
+{
+    char key[MAX_ENTITY + 1];
+    for (Py_ssize_t i = 0; i < len; i++)
+        key[i] = (char)PyUnicode_READ_CHAR(s, a + i);
+    if (semi)
+        key[len++] = ';';
+    PyObject *k = PyUnicode_FromStringAndSize(key, len);
+    if (k == NULL)
+        return NULL;
+    PyObject *v = PyDict_GetItemWithError(entities, k);
+    Py_DECREF(k);
+    return v;
+}
+
+static inline int
+is_ascii_alnum(Py_UCS4 c)
+{
+    return c < 128 && (is_alpha(c) || is_digit(c));
+}
+
+/* the named reference after the '&' at amp, read as html.unescape does
+ * (attr=0) or as parser._decode_attr does (attr=1), written to o: its
+ * end, 0 to keep the '&' literal, -1 on error.  Entity names are ASCII
+ * letters and digits with an optional ';', so only the alphanumeric run
+ * after '&', with one ';' after it, can spell one. */
+static Py_ssize_t
+named_ref(PyObject *s, Py_ssize_t amp, Py_ssize_t z, int attr, struct out *o)
+{
+    const int kind = PyUnicode_KIND(s);
+    const void *d = PyUnicode_DATA(s);
+    Py_ssize_t a = amp + 1, run = 0, k = 0;
+    PyObject *v = NULL;
+    while (a + run < z && run < MAX_ENTITY && is_ascii_alnum(READ(a + run)))
+        run++;
+    if (attr) {
+        /* the longest key that prefixes raw[amp+1:amp+33]; a legacy key
+         * (no ';') before an alphanumeric or '=' stays literal */
+        int semi = run < MAX_ENTITY && a + run < z && READ(a + run) == ';';
+        if (semi && (v = entity(s, a, run, 1)) != NULL)
+            k = run + 1;
+        for (Py_ssize_t x = run; v == NULL && !PyErr_Occurred() && x > 0; x--)
+            if ((v = entity(s, a, x, 0)) != NULL)
+                k = x;
+        if (v == NULL)
+            return PyErr_Occurred() ? -1 : 0;
+        if (READ(a + k - 1) != ';' && a + k < z) {
+            Py_UCS4 c = READ(a + k);
+            if (c == '=' || Py_UNICODE_ISALNUM(c))
+                return 0;
+        }
+        put_str(o, v);
+        return a + k;
+    }
+    /* the match [^\t\n\f <&#;]{1,32};? (m), then the whole match as a
+     * key, then its prefixes from len(m) - 1 down to 2 */
+    Py_ssize_t len = 0;
+    for (; a + len < z && len < MAX_ENTITY; len++) {
+        Py_UCS4 c = READ(a + len);
+        if (c == '\t' || c == '\n' || c == '\f' || c == ' ' || c == '<'
+                || c == '&' || c == '#' || c == ';')
+            break;
+    }
+    if (len == 0)
+        return 0;
+    Py_ssize_t m = len + (a + len < z && READ(a + len) == ';');
+    if (run == len && (v = entity(s, a, len, m > len)) != NULL)
+        k = m;
+    for (Py_ssize_t x = Py_MIN(m - 1, run);
+            v == NULL && !PyErr_Occurred() && x >= 2; x--)
+        if ((v = entity(s, a, x, 0)) != NULL)
+            k = x;
+    if (PyErr_Occurred())
+        return -1;
+    if (v == NULL)
+        put_range(o, s, amp, a + m);        /* '&' + m, unchanged */
+    else {
+        put_str(o, v);
+        put_range(o, s, a + k, a + m);
+    }
+    return a + m;
+}
+
+/* s[a:z] with its character references decoded as html.unescape
+ * (attr=0) or parser._decode_attr (attr=1) decodes them; a new
+ * reference */
+static PyObject *
+unescape(PyObject *s, Py_ssize_t a, Py_ssize_t z, int attr)
+{
+    Py_ssize_t amp = PyUnicode_FindChar(s, '&', a, z, 1);
+    if (amp < 0)
+        return amp == -1 ? PyUnicode_Substring(s, a, z) : NULL;
+    const int kind = PyUnicode_KIND(s);
+    struct out o = {PyMem_Malloc((z - a) * kind), kind, 0, 0, z - a};
+    if (o.buf == NULL)
+        return PyErr_NoMemory();
+    Py_ssize_t p = a;
+    while (amp >= 0) {
+        put_range(&o, s, p, amp);
+        Py_ssize_t end = amp + 1 < z && PyUnicode_READ_CHAR(s, amp + 1) == '#'
+                         ? numeric_ref(s, amp + 1, z, &o)
+                         : named_ref(s, amp, z, attr, &o);
+        if (end < 0)
+            break;
+        if (end == 0) {
+            put(&o, '&');
+            end = amp + 1;
+        }
+        p = end;
+        amp = p < z ? PyUnicode_FindChar(s, '&', p, z, 1) : -1;
+    }
+    if (amp == -1)
+        put_range(&o, s, p, z);
+    PyObject *r = amp != -1 || o.failed ? NULL
+                  : PyUnicode_FromKindAndData(o.kind, o.buf, o.n);
+    PyMem_Free(o.buf);
+    return r;
+}
+
+/* -- attributes: parser._parse_attrs -- */
+
+static inline int
+attr_stop(Py_UCS4 c)        /* not in _ATTR_RE's name class [^\s/>=] */
+{
+    return c == '/' || c == '>' || c == '=' || Py_UNICODE_ISSPACE(c);
+}
+
+/* s[a:z].lower(), interned when ASCII */
+static PyObject *
+attr_name(PyObject *s, Py_ssize_t a, Py_ssize_t z, int ascii)
+{
+    if (!ascii) {
+        PyObject *raw = PyUnicode_Substring(s, a, z);
+        PyObject *low = raw ? PyObject_CallMethodNoArgs(raw, str_lower) : NULL;
+        Py_XDECREF(raw);
+        return low;
+    }
+    PyObject *name = PyUnicode_New(z - a, 127);
+    if (name == NULL)
+        return NULL;
+    Py_UCS1 *w = PyUnicode_1BYTE_DATA(name);
+    for (Py_ssize_t i = a; i < z; i++) {
+        Py_UCS4 c = PyUnicode_READ_CHAR(s, i);
+        w[i - a] = (Py_UCS1)(c >= 'A' && c <= 'Z' ? c | 0x20 : c);
+    }
+    PyUnicode_InternInPlace(&name);
+    return name;
+}
+
+/* the attributes of _ATTR_RE.finditer(s[a:z]), first occurrence
+ * winning, each value stripped of its quotes and decoded in the
+ * attribute context; a new dict */
+static PyObject *
+parse_attrs(PyObject *s, Py_ssize_t a, Py_ssize_t z)
+{
+    const int kind = PyUnicode_KIND(s);
+    const void *d = PyUnicode_DATA(s);
+    PyObject *attrs = PyDict_New();
+    Py_ssize_t p = a;
+    while (attrs != NULL && p < z) {
+        if (attr_stop(READ(p))) {
+            p++;
+            continue;
+        }
+        Py_ssize_t name = p, v0 = -1, v1 = -1;
+        int ascii = 1;
+        for (; p < z && !attr_stop(READ(p)); p++)
+            ascii &= READ(p) < 128;
+        Py_ssize_t name_end = p, q = p;
+        while (q < z && Py_UNICODE_ISSPACE(READ(q)))
+            q++;
+        if (q < z && READ(q) == '=') {      /* \s*=\s*(value) */
+            q++;
+            while (q < z && Py_UNICODE_ISSPACE(READ(q)))
+                q++;
+            Py_UCS4 c = q < z ? READ(q) : 0;
+            Py_ssize_t close = c == '"' || c == '\''
+                               ? PyUnicode_FindChar(s, c, q + 1, z, 1) : -1;
+            if (close == -2)
+                goto fail;
+            if (close >= 0) {               /* "[^"]*" or '[^']*' */
+                v0 = q + 1;
+                v1 = close;
+                p = close + 1;
+            }
+            else {                          /* [^\s>]* */
+                v0 = q;
+                while (q < z && READ(q) != '>' && !Py_UNICODE_ISSPACE(READ(q)))
+                    q++;
+                v1 = p = q;
+            }
+        }
+        PyObject *key = attr_name(s, name, name_end, ascii);
+        if (key == NULL)
+            goto fail;
+        int r = PyDict_Contains(attrs, key);
+        if (r == 0) {
+            PyObject *val = v0 < 0 ? Py_NewRef(str_empty)
+                            : unescape(s, v0, v1, 1);
+            r = val ? PyDict_SetItem(attrs, key, val) : -1;
+            Py_XDECREF(val);
+        }
+        Py_DECREF(key);
+        if (r < 0)
+            goto fail;
+    }
+    return attrs;
+fail:
+    Py_DECREF(attrs);
+    return NULL;
+}
+
 /* -- builder -- */
 
 struct builder {
-    PyObject *tb, *stack, *afe, *html, *body;   /* borrowed from tb */
-    int in_body, afe_dirty;
+    PyObject *tb, *doc, *stack, *afe;           /* borrowed from tb */
+    long mode;
+    int afe_dirty;
 };
 
 /* has() and eq() leave a failure's exception set; build() checks for
@@ -199,14 +618,20 @@ has(PyObject *set, PyObject *key)
 static inline int
 eq(PyObject *a, PyObject *b)
 {
-    return PyObject_RichCompareBool(a, b, Py_EQ) > 0;
+    return a == b || PyObject_RichCompareBool(a, b, Py_EQ) > 0;
+}
+
+static inline PyObject *
+stack_top(struct builder *b)
+{
+    return PyList_GET_ITEM(b->stack, PyList_GET_SIZE(b->stack) - 1);
 }
 
 /* the stack top when it is an Element (the common case), else NULL */
 static inline PyObject *
 top_element(struct builder *b)
 {
-    PyObject *top = PyList_GET_ITEM(b->stack, PyList_GET_SIZE(b->stack) - 1);
+    PyObject *top = stack_top(b);
     return Py_IS_TYPE(top, Element) ? top : NULL;     /* never the Document */
 }
 
@@ -216,6 +641,29 @@ set_slot(PyObject *o, Py_ssize_t off, PyObject *v)    /* steals v */
     PyObject *old = SLOT(o, off);
     SLOT(o, off) = v;
     Py_XDECREF(old);
+}
+
+static int
+set_mode(struct builder *b, long mode)
+{
+    PyObject *m = PyLong_FromLong(mode);
+    if (m == NULL)
+        return -1;
+    set_slot(b->tb, b_mode, m);
+    b->mode = mode;
+    return 0;
+}
+
+/* tb.error(pos, code) */
+static int
+error(struct builder *b, Py_ssize_t pos, PyObject *code)
+{
+    PyObject *p = PyLong_FromSsize_t(pos);
+    PyObject *r = p ? PyObject_CallMethodObjArgs(b->tb, str_error, p, code,
+                                                 NULL) : NULL;
+    Py_XDECREF(p);
+    Py_XDECREF(r);
+    return r ? 0 : -1;
 }
 
 static PyObject *
@@ -232,8 +680,7 @@ children_of(PyObject *node)
 static int
 append(struct builder *b, PyObject *node)
 {
-    PyObject *parent = PyList_GET_ITEM(b->stack,
-                                       PyList_GET_SIZE(b->stack) - 1);
+    PyObject *parent = stack_top(b);
     PyObject *kids = children_of(parent);
     if (kids == NULL || !PyList_CheckExact(kids)) {
         PyErr_SetString(PyExc_TypeError, "stack top has no child list");
@@ -248,23 +695,29 @@ append(struct builder *b, PyObject *node)
     return PyList_Append(kids, node);
 }
 
-static PyObject *
-new_text(PyObject *kind, PyObject *text, Py_ssize_t start, Py_ssize_t end)
+/* appends a new TextNode(kind, text, start, end) to the stack top;
+ * steals text */
+static int
+append_text(struct builder *b, PyObject *kind, PyObject *text,
+            Py_ssize_t start, Py_ssize_t end)
 {
-    PyObject *a = PyLong_FromSsize_t(start), *z = PyLong_FromSsize_t(end);
-    PyObject *node = a && z ? TextNode->tp_alloc(TextNode, 0) : NULL;
+    PyObject *a = text ? PyLong_FromSsize_t(start) : NULL;
+    PyObject *z = a ? PyLong_FromSsize_t(end) : NULL;
+    PyObject *node = z ? TextNode->tp_alloc(TextNode, 0) : NULL;
     if (node == NULL) {
         Py_XDECREF(a);
         Py_XDECREF(z);
-        Py_DECREF(text);
-        return NULL;
+        Py_XDECREF(text);
+        return -1;
     }
     Py_INCREF(kind);
     SLOT(node, n_kind) = kind;
     SLOT(node, t_text) = text;
     SLOT(node, t_start) = a;
     SLOT(node, t_end) = z;
-    return node;
+    int r = append(b, node);
+    Py_DECREF(node);
+    return r;
 }
 
 /* Element(tag, attrs, start, start_tag_end); steals attrs */
@@ -300,37 +753,53 @@ new_element(PyObject *tag, PyObject *attrs, Py_ssize_t start,
     return el;
 }
 
+/* el.end_tag_start, el.end = start, end */
+static int
+set_end(PyObject *el, Py_ssize_t start, Py_ssize_t end)
+{
+    PyObject *a = PyLong_FromSsize_t(start);
+    PyObject *z = a ? PyLong_FromSsize_t(end) : NULL;
+    if (z == NULL) {
+        Py_XDECREF(a);
+        return -1;
+    }
+    set_slot(el, e_etag_start, a);
+    set_slot(el, e_end, z);
+    return 0;
+}
+
+/* el.end <= el.start_tag_end: no end tag has closed el yet */
+static int
+not_closed(PyObject *el)
+{
+    Py_ssize_t end = PyLong_AsSsize_t(SLOT(el, e_end));
+    Py_ssize_t stag_end = PyLong_AsSsize_t(SLOT(el, e_stag_end));
+    return PyErr_Occurred() ? -1 : end <= stag_end;
+}
+
+/* stack.pop() */
+static int
+drop_top(struct builder *b)
+{
+    Py_ssize_t n = PyList_GET_SIZE(b->stack);
+    return PyList_SetSlice(b->stack, n - 1, n, NULL);
+}
+
 /* _TreeBuilder._pop: implied close of the stack top at pos */
 static int
 pop(struct builder *b, Py_ssize_t pos)
 {
-    Py_ssize_t n = PyList_GET_SIZE(b->stack);
-    PyObject *el = PyList_GET_ITEM(b->stack, n - 1);
-    Py_INCREF(el);
-    int r = PyList_SetSlice(b->stack, n - 1, n, NULL);
-    if (r == 0) {
-        if (has(s_formatting, SLOT(el, e_tag))) {
-            Py_INCREF(Py_True);
-            set_slot(b->tb, b_afe_dirty, Py_True);
-            b->afe_dirty = 1;
-        }
-        Py_ssize_t end = PyLong_AsSsize_t(SLOT(el, e_end));
-        Py_ssize_t stag_end = PyLong_AsSsize_t(SLOT(el, e_stag_end));
-        if (PyErr_Occurred())
-            r = -1;
-        else if (end <= stag_end) {
-            PyObject *p = PyLong_FromSsize_t(pos);
-            if (p == NULL)
-                r = -1;
-            else {
-                Py_INCREF(p);
-                set_slot(el, e_etag_start, p);
-                set_slot(el, e_end, p);
-            }
-        }
+    PyObject *el = Py_NewRef(stack_top(b));
+    int r = drop_top(b);
+    if (r == 0 && has(s_formatting, SLOT(el, e_tag))) {
+        Py_INCREF(Py_True);
+        set_slot(b->tb, b_afe_dirty, Py_True);
+        b->afe_dirty = 1;
     }
+    if (r == 0 && (r = not_closed(el)) > 0)
+        r = set_end(el, pos, pos);
     Py_DECREF(el);
-    return r;
+    return r < 0 ? -1 : 0;
 }
 
 static int
@@ -396,65 +865,126 @@ afe_clear_to_marker(struct builder *b)
 }
 
 /* Each token handler returns 1 when it inserted the token, 0 when it
- * set *tok to the token for parse's Python rules, -1 on error. */
+ * set *tok to the token for parse's Python rules, 2 when parse's loop
+ * must tokenize it, -1 on error. */
 
 static int
 text(struct builder *b, PyObject *s, Py_ssize_t a, Py_ssize_t z,
      PyObject **tok)
 {
-    PyObject *top = b->in_body ? top_element(b) : NULL;
-    int ws = top != NULL && is_ws_run(s, a, z);
-    if (top == NULL
-            || (has(s_pre, SLOT(top, e_tag))
-                && PyList_GET_SIZE(SLOT(top, e_children)) == 0)
-            || (!ws && (b->afe_dirty || has(s_scaffold, SLOT(top, e_tag))))) {
-        *tok = Py_BuildValue("(iNnn)", 0, PyUnicode_Substring(s, a, z), a, z);
-        return *tok ? 0 : -1;
+    PyObject *top = stack_top(b);
+    int el = Py_IS_TYPE(top, Element), ws = is_ws_run(s, a, z);
+    long mode = b->mode;
+    if (el && has(s_pre, SLOT(top, e_tag))
+            && PyList_GET_SIZE(SLOT(top, e_children)) == 0)
+        ;                                   /* the <pre> newline rule */
+    else if (ws && (mode == before_html || mode == before_head
+                    || mode == after_head))
+        return 1;                           /* dropped */
+    else if (ws ? mode == in_head || mode == in_body
+             : mode == in_body && el && !b->afe_dirty
+               && !has(s_scaffold, SLOT(top, e_tag)))
+        return append_text(b, ws ? k_whitespace : k_text,
+                           ws ? PyUnicode_Substring(s, a, z)
+                           : unescape(s, a, z, 0), a, z) < 0 ? -1 : 1;
+    *tok = Py_BuildValue("(iNnn)", 0, PyUnicode_Substring(s, a, z), a, z);
+    return *tok ? 0 : -1;
+}
+
+/* parse's raw-text rule for el, just inserted at the stack top by the
+ * start tag t: its text up to the close tag, then el is closed there */
+static int
+raw_text(struct builder *b, PyObject *s, PyObject *tag, const struct tag *t,
+         PyObject *el, Py_ssize_t *next)
+{
+    Py_ssize_t n = PyUnicode_GET_LENGTH(s), pos = t->end, content_end;
+    Py_ssize_t close = rawtext_close(s, pos, t), tag_end = n;
+    if (close == -2)
+        return -1;
+    if (close >= 0) {
+        content_end = close;
+        Py_ssize_t gt = PyUnicode_FindChar(s, '>', close + 2 + t->name_len,
+                                           n, 1);
+        if (gt == -2)
+            return -1;
+        if (gt >= 0)
+            tag_end = gt + 1;
     }
-    PyObject *raw = PyUnicode_Substring(s, a, z);
-    if (raw == NULL)
+    else {
+        content_end = n;
+        if (error(b, pos, str_eof_rawtext) < 0)
+            return -1;
+    }
+    if (tag == str_textarea && pos < content_end) {   /* leading newline */
+        Py_UCS4 c = PyUnicode_READ_CHAR(s, pos);
+        if (c == '\r' && pos + 1 < content_end
+                && PyUnicode_READ_CHAR(s, pos + 1) == '\n')
+            pos += 2;
+        else if (c == '\n' || c == '\r')
+            pos += 1;
+    }
+    if (pos < content_end
+            && append_text(b, is_ws_run(s, pos, content_end) ? k_whitespace
+                              : k_text,
+                           has(s_rcdata, tag) ? unescape(s, pos, content_end, 0)
+                           : PyUnicode_Substring(s, pos, content_end),
+                           pos, content_end) < 0)
         return -1;
-    PyObject *txt = raw;
-    Py_ssize_t amp = ws ? -1 : PyUnicode_FindChar(s, '&', a, z, 1);
-    if (amp == -2)
-        txt = NULL;
-    else if (amp >= 0)
-        txt = PyObject_CallOneArg(decode, raw);
-    if (txt != raw)
-        Py_DECREF(raw);
-    if (txt == NULL)
+    if (drop_top(b) < 0 || set_end(el, content_end, tag_end) < 0)
         return -1;
-    PyObject *node = new_text(ws ? k_whitespace : k_text, txt, a, z);
-    if (node == NULL)
+    *next = tag_end;
+    return 1;
+}
+
+/* <html>, <head> or <body> opening its mode's scaffold element: pushed,
+ * stored in tb.<slot>, and the builder moves to mode */
+static int
+scaffold(struct builder *b, PyObject *tag, PyObject *attrs, Py_ssize_t lt,
+         Py_ssize_t end, Py_ssize_t slot, long mode)
+{
+    Py_INCREF(attrs);
+    PyObject *el = new_element(tag, attrs, lt, end);
+    if (el == NULL || append(b, el) < 0 || PyList_Append(b->stack, el) < 0
+            || set_mode(b, mode) < 0) {
+        Py_XDECREF(el);
         return -1;
-    int r = append(b, node);
-    Py_DECREF(node);
-    return r < 0 ? -1 : 1;
+    }
+    set_slot(b->tb, slot, el);
+    return 1;
 }
 
 static int
 start_tag(struct builder *b, PyObject *s, PyObject *tag, const struct tag *t,
-          Py_ssize_t lt, PyObject **tok)
+          Py_ssize_t lt, Py_ssize_t *next, PyObject **tok)
 {
-    PyObject *attrs;
-    if (t->attrs_end > t->attrs_start) {
-        PyObject *raw = PyUnicode_Substring(s, t->attrs_start, t->attrs_end);
-        attrs = raw ? PyObject_CallOneArg(parse_attrs, raw) : NULL;
-        Py_XDECREF(raw);
-    }
-    else
-        attrs = PyDict_New();
+    PyObject *attrs = t->attrs_end > t->attrs_start
+                      ? parse_attrs(s, t->attrs_start, t->attrs_end)
+                      : PyDict_New();
     if (attrs == NULL)
         return -1;
-    int fmt = has(s_formatting, tag);
+    long mode = b->mode;
+    int r, fmt = has(s_formatting, tag), raw = has(s_raw, tag);
+    if (mode == before_html && tag == str_html)
+        r = scaffold(b, tag, attrs, lt, t->end, b_html, before_head);
+    else if (mode == before_head && tag == str_head)
+        r = scaffold(b, tag, attrs, lt, t->end, b_head, in_head);
+    else if (mode == after_head && tag == str_body)
+        r = scaffold(b, tag, attrs, lt, t->end, b_body, in_body);
     /* formatting tags are in no closer set, so these tests see the
      * state the closers loop below would leave */
-    if (!b->in_body || top_element(b) == NULL || has(s_rule_tags, tag)
-            || (t->slash && !has(s_void, tag))
-            || (fmt && (b->afe_dirty || afe_needs_rule(b, tag, attrs)))) {
-        *tok = Py_BuildValue("(iONnnO)", 1, tag, attrs, lt, t->end,
+    else if ((mode != in_body && !(mode == in_head && has(s_head, tag)))
+             || top_element(b) == NULL || has(s_rule_tags, tag)
+             || (t->slash && !has(s_void, tag))
+             || (fmt && (b->afe_dirty || afe_needs_rule(b, tag, attrs))))
+        r = raw ? 2 : 0;
+    else
+        r = 3;                              /* inserted below */
+    if (r == 0)
+        *tok = Py_BuildValue("(iOOnnO)", 1, tag, attrs, lt, t->end,
                              t->slash ? Py_True : Py_False);
-        return *tok ? 0 : -1;
+    if (r != 3) {
+        Py_DECREF(attrs);
+        return r == 0 && *tok == NULL ? -1 : r;
     }
     if (has(s_closer, tag)) {
         for (;;) {
@@ -489,9 +1019,10 @@ start_tag(struct builder *b, PyObject *s, PyObject *tag, const struct tag *t,
                     && PyList_Append(b->afe, afe_marker) < 0))
             goto fail_el;
     }
+    r = raw ? raw_text(b, s, tag, t, el, next) : 1;
     Py_DECREF(el);
     Py_DECREF(attrs);
-    return 1;
+    return r;
 fail_el:
     Py_XDECREF(el);
 fail:
@@ -499,33 +1030,127 @@ fail:
     return -1;
 }
 
+/* end_tag's stack walk in body: close the nearest open element named
+ * tag, and every element above it; a tag with no open element is an
+ * error.  Hands the token back when the stack holds a non-Element. */
+static int
+close_to(struct builder *b, PyObject *tag, Py_ssize_t lt, Py_ssize_t end,
+         PyObject **tok)
+{
+    Py_ssize_t i = PyList_GET_SIZE(b->stack) - 1;
+    for (; i > 0; i--) {
+        PyObject *node = PyList_GET_ITEM(b->stack, i);
+        if (!Py_IS_TYPE(node, Element)) {
+            *tok = Py_BuildValue("(iOnn)", 2, tag, lt, end);
+            return *tok ? 0 : -1;
+        }
+        if (eq(SLOT(node, e_tag), tag))
+            break;
+    }
+    if (i == 0)
+        return error(b, lt, str_unmatched) < 0 ? -1 : 1;
+    while (PyList_GET_SIZE(b->stack) - 1 > i) {
+        int open = not_closed(stack_top(b));
+        if (open < 0 || (open && error(b, lt, str_misnested) < 0)
+                || pop(b, lt) < 0)
+            return -1;
+    }
+    PyObject *el = Py_NewRef(stack_top(b));
+    int r = drop_top(b) < 0 || set_end(el, lt, end) < 0 ? -1 : 0;
+    if (r == 0 && has(s_markers, SLOT(el, e_tag)))
+        r = afe_clear_to_marker(b);
+    /* body and html stay insertable after their end tag */
+    if (r == 0 && (el == SLOT(b->tb, b_body) || el == SLOT(b->tb, b_html)))
+        r = PyList_Append(b->stack, el);
+    Py_DECREF(el);
+    return r < 0 ? -1 : 1;
+}
+
 static int
 end_tag(struct builder *b, PyObject *tag, Py_ssize_t lt, Py_ssize_t end,
         PyObject **tok)
 {
-    PyObject *top = b->in_body ? top_element(b) : NULL;
-    if (top == NULL || top == b->body || top == b->html
-            || !eq(SLOT(top, e_tag), tag)) {
-        *tok = Py_BuildValue("(iOnn)", 2, tag, lt, end);
-        return *tok ? 0 : -1;
+    PyObject *top = top_element(b);
+    if (top != NULL && b->mode == in_head && tag == str_head
+            && top == SLOT(b->tb, b_head)) {
+        if (drop_top(b) < 0 || set_end(top, lt, end) < 0
+                || set_mode(b, after_head) < 0)
+            return -1;
+        return 1;
     }
-    PyObject *a = PyLong_FromSsize_t(lt), *z = PyLong_FromSsize_t(end);
-    Py_ssize_t n = PyList_GET_SIZE(b->stack);
-    Py_INCREF(top);
-    int r = a && z ? PyList_SetSlice(b->stack, n - 1, n, NULL) : -1;
-    if (r == 0) {
-        set_slot(top, e_etag_start, a);
-        set_slot(top, e_end, z);
-        a = z = NULL;
-        if (has(s_formatting, tag))
+    if (top == NULL || b->mode != in_body)
+        goto hand_back;
+    if (top != SLOT(b->tb, b_body) && top != SLOT(b->tb, b_html)
+            && eq(SLOT(top, e_tag), tag)) {         /* closes the top */
+        Py_INCREF(top);
+        int r = drop_top(b) < 0 || set_end(top, lt, end) < 0 ? -1 : 0;
+        if (r == 0 && has(s_formatting, tag))
             r = afe_remove(b, top);
-        else if (has(s_markers, tag))
+        else if (r == 0 && has(s_markers, tag))
             r = afe_clear_to_marker(b);
+        Py_DECREF(top);
+        return r < 0 ? -1 : 1;
     }
-    Py_XDECREF(a);
-    Py_XDECREF(z);
-    Py_DECREF(top);
-    return r < 0 ? -1 : 1;
+    if (has(s_formatting, tag))
+        goto hand_back;                     /* the adoption agency */
+    if (tag == str_p) {             /* </p> with no open p: Python's rule */
+        Py_ssize_t i = PyList_GET_SIZE(b->stack) - 1;
+        while (i > 0 && !(Py_IS_TYPE(PyList_GET_ITEM(b->stack, i), Element)
+                          && eq(SLOT(PyList_GET_ITEM(b->stack, i), e_tag),
+                                tag)))
+            i--;
+        if (i == 0)
+            goto hand_back;
+    }
+    return close_to(b, tag, lt, end, tok);
+hand_back:
+    *tok = Py_BuildValue("(iOnn)", 2, tag, lt, end);
+    return *tok ? 0 : -1;
+}
+
+/* '<!' at lt: a plain comment (any mode), or the doctype before <html>
+ * when none is set; 2 for everything else */
+static int
+markup_decl(struct builder *b, PyObject *s, Py_ssize_t lt, Py_ssize_t *next)
+{
+    Py_ssize_t n = PyUnicode_GET_LENGTH(s);
+    if (starts(s, lt, "<!--", 0)) {
+        Py_ssize_t a = lt + 4;
+        if (starts(s, a, ">", 0) || starts(s, a, "->", 0))
+            return 2;                       /* abrupt: <!--> and <!---> */
+        Py_ssize_t close = PyUnicode_Find(s, str_comment_close, a, n, 1);
+        /* a '--!>' before the '-->' ends the comment there */
+        Py_ssize_t bang = close < 0 ? close
+                          : PyUnicode_Find(s, str_comment_bang, a, close + 3, 1);
+        if (close == -2 || bang == -2)
+            return -1;
+        if (close < 0 || bang >= 0)
+            return 2;
+        if (append_text(b, k_comment, PyUnicode_Substring(s, a, close), lt,
+                        close + 3) < 0)
+            return -1;
+        *next = close + 3;
+        return 1;
+    }
+    if (b->mode != before_html || !starts(s, lt + 2, "doctype", 1))
+        return 2;
+    Py_ssize_t gt = PyUnicode_FindChar(s, '>', lt, n, 1);
+    if (gt == -2)
+        return -1;
+    int set = gt < 0 ? 1 : PyObject_IsTrue(SLOT(b->doc, d_doctype));
+    if (set != 0)                           /* set: a duplicate-doctype */
+        return set < 0 ? -1 : 2;
+    Py_ssize_t a = lt + 9, z = gt;          /* body[7:].strip() */
+    while (a < z && Py_UNICODE_ISSPACE(PyUnicode_READ_CHAR(s, a)))
+        a++;
+    while (z > a && Py_UNICODE_ISSPACE(PyUnicode_READ_CHAR(s, z - 1)))
+        z--;
+    PyObject *doctype = PyUnicode_Substring(s, a, z);
+    if (doctype == NULL)
+        return -1;
+    set_slot(b->doc, d_doctype, doctype);
+    *next = gt + 1;
+    return 1;
 }
 
 static PyObject *
@@ -547,17 +1172,18 @@ build(PyObject *self, PyObject *args)
         PyErr_SetString(PyExc_ValueError, "pos out of range");
         return NULL;
     }
-    struct builder b = {tb, SLOT(tb, b_stack), SLOT(tb, b_afe),
-                        SLOT(tb, b_html), SLOT(tb, b_body), 0, 0};
+    struct builder b = {tb, NULL, SLOT(tb, b_stack), SLOT(tb, b_afe), 0, 0};
     PyObject *mode = SLOT(tb, b_mode), *dirty = SLOT(tb, b_afe_dirty);
     /* stack[0] is the Document, which is never popped here */
     if (!b.stack || !PyList_CheckExact(b.stack) || !PyList_GET_SIZE(b.stack)
             || !Py_IS_TYPE(PyList_GET_ITEM(b.stack, 0), Document)
-            || !b.afe || !PyList_CheckExact(b.afe) || !mode || !dirty) {
+            || !b.afe || !PyList_CheckExact(b.afe) || !mode || !dirty
+            || !SLOT(PyList_GET_ITEM(b.stack, 0), d_doctype)) {
         PyErr_SetString(PyExc_TypeError, "malformed builder state");
         return NULL;
     }
-    b.in_body = PyLong_AsLong(mode) == in_body_mode;
+    b.doc = PyList_GET_ITEM(b.stack, 0);
+    b.mode = PyLong_AsLong(mode);
     b.afe_dirty = PyObject_IsTrue(dirty);
     if (PyErr_Occurred())
         return NULL;
@@ -575,26 +1201,34 @@ build(PyObject *self, PyObject *args)
             if (r == 0)
                 goto token;
         }
-        struct tag t;
-        if (lt + 2 >= n || !lex(s, lt, &t))  /* EOF, '<' in the last two */
+        if (lt + 2 >= n)            /* EOF, or a '<' in the last two */
             break;
-        PyObject *tag = PyUnicode_FromStringAndSize(t.name, t.name_len);
-        if (tag == NULL)
-            return NULL;
-        PyUnicode_InternInPlace(&tag);
         int r;
-        if (t.end_tag)
-            r = end_tag(&b, tag, lt, t.end, &tok);
-        else if ((r = PySet_Contains(defer, tag)) == 0)
-            r = start_tag(&b, s, tag, &t, lt, &tok);
-        else if (r > 0) {           /* deferred: parse's loop takes it */
+        Py_ssize_t next = lt;
+        struct tag t;
+        if (PyUnicode_READ_CHAR(s, lt + 1) == '!')
+            r = markup_decl(&b, s, lt, &next);
+        else if (!lex(s, lt, &t))
+            r = 2;
+        else {
+            PyObject *tag = PyUnicode_FromStringAndSize(t.name, t.name_len);
+            if (tag == NULL)
+                return NULL;
+            PyUnicode_InternInPlace(&tag);
+            next = t.end;
+            if (t.end_tag)
+                r = end_tag(&b, tag, lt, t.end, &tok);
+            else if ((r = PySet_Contains(defer, tag)) == 0)
+                r = start_tag(&b, s, tag, &t, lt, &next, &tok);
+            else if (r > 0)         /* deferred: parse's loop takes it */
+                r = 2;
             Py_DECREF(tag);
-            break;
         }
-        Py_DECREF(tag);
         if (r < 0)
             return NULL;
-        pos = t.end;
+        if (r == 2)
+            break;
+        pos = next;
         if (r == 0)
             goto token;
     }
@@ -661,10 +1295,10 @@ release(PyObject *self, PyObject *root)
 /* -- span extraction: the walk of extract.extract_spans -- */
 
 /* set by configure_extract() */
-static PyObject *s_media, *s_blocks, *k_comment, *has_ad_token;
+static PyObject *s_media, *s_blocks, *has_ad_token;
 static int extract_configured;
 /* interned at module init */
-static PyObject *str_empty, *str_space, *str_text, *str_code, *str_media,
+static PyObject *str_space, *str_text, *str_code, *str_media,
                 *str_link, *str_a, *str_class, *str_id, *str_src,
                 *str_data_src, *str_href;
 
@@ -1161,65 +1795,92 @@ slot_offset(PyTypeObject *type, const char *name, Py_ssize_t *off)
     return ok ? 0 : -1;
 }
 
+struct setting {
+    const char *name;
+    PyObject **to;
+    PyTypeObject *type;     /* exact type required, or NULL for any */
+};
+
+/* stores kw[name] for every setting, each type-checked first; kw must
+ * hold exactly these names */
+static int
+store(PyObject *kw, struct setting *set, size_t n)
+{
+    if (kw == NULL || (size_t)PyDict_GET_SIZE(kw) != n) {
+        PyErr_Format(PyExc_TypeError, "configure takes %zu keywords", n);
+        return -1;
+    }
+    for (size_t i = 0; i < n; i++) {
+        PyObject *v = PyDict_GetItemString(kw, set[i].name);
+        if (v == NULL || (set[i].type && !Py_IS_TYPE(v, set[i].type))) {
+            PyErr_Format(PyExc_TypeError, "%s: missing, or not a %s",
+                         set[i].name, set[i].type ? set[i].type->tp_name
+                                                  : "value");
+            return -1;
+        }
+    }
+    for (size_t i = 0; i < n; i++) {
+        PyObject *v = PyDict_GetItemString(kw, set[i].name);
+        Py_INCREF(v);
+        Py_XSETREF(*set[i].to, v);
+    }
+    return 0;
+}
+
 static PyObject *
 configure(PyObject *self, PyObject *args, PyObject *kw)
 {
-    static char *kwlist[] = {
-        "element", "text_node", "document", "builder", "element_kind",
-        "text_kind", "whitespace_kind", "in_body", "afe_marker", "void",
-        "closed_by", "any_closer", "formatting", "markers", "scaffold",
-        "rule_tags", "pre", "no_nest", "decode", "parse_attrs", NULL};
-    PyTypeObject *el, *tn, *doc, *bld;
-    PyObject *ke, *kt, *kw_, *marker, *sv, *cb, *sc, *sf, *sm, *ss, *sr,
-             *sp, *sn, *dec, *pa;
-    long ib;
-    if (!PyArg_ParseTupleAndKeywords(
-            args, kw, "O!O!O!O!O!O!O!lOO!O!O!O!O!O!O!O!O!OO:configure",
-            kwlist, &PyType_Type, &el, &PyType_Type, &tn, &PyType_Type, &doc,
-            &PyType_Type, &bld, &PyLong_Type, &ke, &PyLong_Type, &kt,
-            &PyLong_Type, &kw_, &ib, &marker, &PyFrozenSet_Type, &sv,
-            &PyDict_Type, &cb, &PyFrozenSet_Type, &sc, &PyFrozenSet_Type, &sf,
-            &PyFrozenSet_Type, &sm, &PyFrozenSet_Type, &ss,
-            &PyFrozenSet_Type, &sr, &PyFrozenSet_Type, &sp,
-            &PyFrozenSet_Type, &sn, &dec, &pa))
+    PyTypeObject *T = &PyType_Type, *L = &PyLong_Type, *F = &PyFrozenSet_Type,
+                 *D = &PyDict_Type;
+    struct setting set[] = {
+        {"element", (PyObject **)&Element, T},
+        {"text_node", (PyObject **)&TextNode, T},
+        {"document", (PyObject **)&Document, T},
+        {"builder", (PyObject **)&Builder, T},
+        {"element_kind", &k_element, L}, {"text_kind", &k_text, L},
+        {"whitespace_kind", &k_whitespace, L}, {"comment_kind", &k_comment, L},
+        {"modes", &modes, &PyTuple_Type}, {"afe_marker", &afe_marker, NULL},
+        {"void", &s_void, F}, {"closed_by", &closed_by, D},
+        {"any_closer", &s_closer, F}, {"formatting", &s_formatting, F},
+        {"markers", &s_markers, F}, {"scaffold", &s_scaffold, F},
+        {"rule_tags", &s_rule_tags, F}, {"pre", &s_pre, F},
+        {"no_nest", &s_no_nest, F}, {"head_elements", &s_head, F},
+        {"raw_text", &s_raw, F}, {"rcdata", &s_rcdata, F},
+        {"entities", &entities, D}, {"invalid_charrefs", &invalid_charrefs, D},
+        {"invalid_codepoints", &invalid_codepoints, F}};
+    if (PyTuple_GET_SIZE(args) != 0) {
+        PyErr_SetString(PyExc_TypeError, "configure takes keywords only");
+        return NULL;
+    }
+    configured = 0;
+    if (store(kw, set, sizeof set / sizeof *set) < 0
+            || !PyArg_ParseTuple(modes, "lllll:modes", &before_html,
+                                 &before_head, &in_head, &after_head,
+                                 &in_body))
         return NULL;
     struct {
         PyTypeObject *type;
         const char *name;
         Py_ssize_t *off;
     } slots[] = {
-        {el, "kind", &n_kind}, {el, "parent", &n_parent},
-        {el, "index_within_parent", &n_index}, {el, "tag", &e_tag},
-        {el, "attrs", &e_attrs}, {el, "_children", &e_children},
-        {el, "start", &e_start}, {el, "start_tag_end", &e_stag_end},
-        {el, "end_tag_start", &e_etag_start}, {el, "end", &e_end},
-        {el, "implied", &e_implied}, {tn, "text", &t_text},
-        {tn, "start", &t_start}, {tn, "end", &t_end},
-        {doc, "_children", &d_children}, {bld, "stack", &b_stack},
-        {bld, "afe", &b_afe}, {bld, "mode", &b_mode},
-        {bld, "afe_dirty", &b_afe_dirty}, {bld, "html", &b_html},
-        {bld, "body", &b_body}};
-    configured = 0;
+        {Element, "kind", &n_kind}, {Element, "parent", &n_parent},
+        {Element, "index_within_parent", &n_index}, {Element, "tag", &e_tag},
+        {Element, "attrs", &e_attrs}, {Element, "_children", &e_children},
+        {Element, "start", &e_start}, {Element, "start_tag_end", &e_stag_end},
+        {Element, "end_tag_start", &e_etag_start}, {Element, "end", &e_end},
+        {Element, "implied", &e_implied}, {TextNode, "text", &t_text},
+        {TextNode, "start", &t_start}, {TextNode, "end", &t_end},
+        {Document, "_children", &d_children},
+        {Document, "doctype", &d_doctype}, {Builder, "stack", &b_stack},
+        {Builder, "afe", &b_afe}, {Builder, "mode", &b_mode},
+        {Builder, "afe_dirty", &b_afe_dirty}, {Builder, "html", &b_html},
+        {Builder, "head", &b_head}, {Builder, "body", &b_body}};
     for (size_t i = 0; i < sizeof slots / sizeof *slots; i++)
         if (slot_offset(slots[i].type, slots[i].name, slots[i].off) < 0)
             return NULL;
-    if (tn->tp_base != el->tp_base) {   /* kind/parent/index: one offset */
+    if (TextNode->tp_base != Element->tp_base) {   /* one Node offset */
         PyErr_SetString(PyExc_TypeError, "nodes must share one Node base");
         return NULL;
-    }
-    in_body_mode = ib;
-    PyObject **keep[] = {
-        (PyObject **)&Element, (PyObject **)&TextNode, (PyObject **)&Document,
-        (PyObject **)&Builder, &k_element, &k_text, &k_whitespace,
-        &afe_marker, &s_void, &closed_by, &s_closer, &s_formatting,
-        &s_markers, &s_scaffold, &s_rule_tags, &s_pre, &s_no_nest, &decode,
-        &parse_attrs};
-    PyObject *vals[] = {
-        (PyObject *)el, (PyObject *)tn, (PyObject *)doc, (PyObject *)bld, ke,
-        kt, kw_, marker, sv, cb, sc, sf, sm, ss, sr, sp, sn, dec, pa};
-    for (size_t i = 0; i < sizeof vals / sizeof *vals; i++) {
-        Py_INCREF(vals[i]);
-        Py_XSETREF(*keep[i], vals[i]);
     }
     configured = 1;
     Py_RETURN_NONE;
@@ -1228,28 +1889,25 @@ configure(PyObject *self, PyObject *args, PyObject *kw)
 static PyObject *
 configure_extract(PyObject *self, PyObject *args, PyObject *kw)
 {
-    static char *kwlist[] = {"media", "blocks", "comment_kind",
-                             "has_ad_token", NULL};
-    PyObject *media, *blocks, *comment, *ad;
-    if (!PyArg_ParseTupleAndKeywords(
-            args, kw, "O!O!O!O:configure_extract", kwlist,
-            &PyFrozenSet_Type, &media, &PyFrozenSet_Type, &blocks,
-            &PyLong_Type, &comment, &ad))
+    struct setting set[] = {
+        {"media", &s_media, &PyFrozenSet_Type},
+        {"blocks", &s_blocks, &PyFrozenSet_Type},
+        {"has_ad_token", &has_ad_token, NULL}};
+    if (PyTuple_GET_SIZE(args) != 0) {
+        PyErr_SetString(PyExc_TypeError, "configure takes keywords only");
         return NULL;
-    PyObject **keep[] = {&s_media, &s_blocks, &k_comment, &has_ad_token};
-    PyObject *vals[] = {media, blocks, comment, ad};
-    for (size_t i = 0; i < sizeof vals / sizeof *vals; i++) {
-        Py_INCREF(vals[i]);
-        Py_XSETREF(*keep[i], vals[i]);
     }
+    extract_configured = 0;
+    if (store(kw, set, sizeof set / sizeof *set) < 0)
+        return NULL;
     extract_configured = 1;
     Py_RETURN_NONE;
 }
 
 static PyMethodDef methods[] = {
     {"build", build, METH_VARARGS,
-     "build(html, pos, defer, tb) -> (token, pos): insert the in-body "
-     "common tokens into tb; return the first that needs a Python rule"},
+     "build(html, pos, defer, tb) -> (token, pos): insert the tokens that "
+     "need no Python rule into tb; return the first that needs one"},
     {"release", release, METH_O,
      "release(root): empty every child list under root"},
     {"extract", extract, METH_VARARGS,
@@ -1257,7 +1915,8 @@ static PyMethodDef methods[] = {
      "kind_by_tag) -> spans: the walk of extract.extract_spans"},
     {"configure", (PyCFunction)(void (*)(void))configure,
      METH_VARARGS | METH_KEYWORDS,
-     "configure(**kw): node classes, node kinds and rule sets"},
+     "configure(**kw): node classes, node kinds, modes, rule sets and "
+     "character-reference tables"},
     {"configure_extract", (PyCFunction)(void (*)(void))configure_extract,
      METH_VARARGS | METH_KEYWORDS,
      "configure_extract(**kw): the span walk's tag sets and ad-token test"},
@@ -1278,7 +1937,13 @@ PyInit__scan(void)
         {&str_empty, ""}, {&str_space, " "}, {&str_text, "text"},
         {&str_code, "code"}, {&str_media, "media"}, {&str_link, "link"},
         {&str_a, "a"}, {&str_class, "class"}, {&str_id, "id"},
-        {&str_src, "src"}, {&str_data_src, "data-src"}, {&str_href, "href"}};
+        {&str_src, "src"}, {&str_data_src, "data-src"}, {&str_href, "href"},
+        {&str_html, "html"}, {&str_head, "head"}, {&str_body, "body"},
+        {&str_p, "p"}, {&str_textarea, "textarea"}, {&str_error, "error"},
+        {&str_lower, "lower"}, {&str_misnested, "misnested-end-tag"},
+        {&str_unmatched, "unmatched-end-tag"},
+        {&str_eof_rawtext, "eof-in-rawtext"}, {&str_comment_close, "-->"},
+        {&str_comment_bang, "--!>"}};
     for (size_t i = 0; i < sizeof strs / sizeof *strs; i++)
         if (*strs[i].s == NULL
                 && (*strs[i].s = PyUnicode_InternFromString(strs[i].value))

@@ -39,7 +39,7 @@ may override ``is_stripped``), any other root.
 
 from __future__ import annotations
 
-from .dom import COMMENT, TEXT, WHITESPACE, Document, Element, Node, TextNode
+from .dom import TEXT, WHITESPACE, Document, Element, Node, TextNode
 from .parser import _scan
 from .text import content_text
 from . import select as match
@@ -368,4 +368,4 @@ def extract_metadata(doc: Node) -> dict:
 
 if _scan is not None:
     _scan.configure_extract(media=MEDIA_TAGS, blocks=_BLOCK_TAGS,
-                            comment_kind=COMMENT, has_ad_token=_has_ad_token)
+                            has_ad_token=_has_ad_token)

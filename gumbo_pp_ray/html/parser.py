@@ -30,26 +30,37 @@ _adoption_agency); ``</p>`` with no open ``p`` synthesizes an empty
 Designed for the hot path of a Ray extraction task: one module-level
 pass, no recursion, compiled regexes shared per process.
 
-The in-body common case is built in C: ``_scan.c`` (built at first
-import by ``_native.load_scan``) tokenizes text runs, the start tags
-that ``_START_TAG_RE`` accepts and the end tags that ``_END_TAG_RE``
-accepts, and inserts each straight into the live ``_TreeBuilder`` while
-no recovery rule fires: in-body text, ordinary, void and formatting
-start tags, the table/cell markers and end tags that close the stack
-top.  It hands every other token back to the builder's Python methods
-(every token before ``<body>``, one per call; foster-parented text,
-``html``/``head``/``body``/``form``/``template``, a nested ``<a>``,
-Noah's Ark, misnested end tags, ...), and stops before every ``<`` it
-does not tokenize — comments, doctype, CDATA, ``<?``, a bare ``<``, end
-tags with junk, unterminated tags, overlong names and the
-``_SCAN_DEFER`` start tags (raw text, ``<image>``) — which ``parse``'s
-loop body tokenizes in Python.  The Python builder holds every rule;
-when the extension cannot be built, ``_scan`` is None and Python
-tokenizes and builds everything: the same trees, slower.
+A well-formed page is built in C: ``_scan.c`` (built at first import
+by ``_native.load_scan``) tokenizes text runs, the start tags that
+``_START_TAG_RE`` accepts, the end tags that ``_END_TAG_RE`` accepts,
+plain comments and the doctype, and inserts each straight into the
+live ``_TreeBuilder`` while no recovery rule fires: the doctype,
+``<html>``, ``<head>``, head elements, ``</head>`` and ``<body>`` of the
+scaffold with the whitespace those modes drop or keep; in-body text,
+ordinary, void and formatting start tags, the table/cell markers, end
+tags that close the stack top and non-formatting end tags below it
+(``</body>``/``</html>`` included); raw text and RCDATA whenever the
+element stays on the stack top; comments.  Attributes
+(``_parse_attrs``/``_decode_attr``) and text character references
+(``html.unescape``) are decoded there too.  It hands every other token
+back to the builder's Python methods: implied ``html``/``head``/``body``,
+duplicate structural tags, late head elements, foster-parented text,
+text while formatting is dirty (reconstruction), ``form``/``template``,
+a nested ``<a>``, Noah's Ark, the adoption agency, ``</p>`` with no
+open ``p``.  It stops before every ``<`` it does not tokenize — CDATA,
+bogus comments, a doctype after ``<html>``, comments closed abruptly,
+by ``--!>`` or by the end of input, ``<?``, a bare ``<``, end tags with
+junk, unterminated tags, overlong names, raw-text start tags that need
+a rule, and the ``_SCAN_DEFER`` start tag (``<image>``, renamed to
+``img``) — which ``parse``'s loop body tokenizes in Python.  The Python
+builder, tokenizer and decoders hold every rule and stay the
+specification; when the extension cannot be built, ``_scan`` is None
+and Python tokenizes and builds everything: the same trees, slower.
 """
 
 from __future__ import annotations
 
+import html as _html
 import re
 from html import unescape
 
@@ -167,11 +178,11 @@ _RAWTEXT_CLOSE = {
     for t in RAWTEXT_ELEMENTS | RCDATA_ELEMENTS
 }
 
-# the native builder (None when it cannot be built), the start tags it
-# leaves to parse's loop (raw text, and <image>'s rename) and the
-# in-body start tags it hands back to start_tag's rules
+# the native builder (None when it cannot be built), the start tag it
+# always leaves to parse's loop (<image>'s rename) and the in-body start
+# tags it hands back to start_tag's rules
 _scan = load_scan()
-_SCAN_DEFER = frozenset(_RAWTEXT_CLOSE) | {"image"}
+_SCAN_DEFER = frozenset(("image",))
 _BUILD_RULE_TAGS = frozenset(("html", "head", "body", "form", "template"))
 
 # insertion-mode-lite states
@@ -1091,11 +1102,17 @@ if _scan is not None:
     _scan.configure(
         element=Element, text_node=TextNode, document=Document,
         builder=_TreeBuilder, element_kind=ELEMENT, text_kind=TEXT,
-        whitespace_kind=WHITESPACE, in_body=_IN_BODY, afe_marker=_AFE_MARKER,
-        void=VOID_ELEMENTS, closed_by=_CLOSED_BY, any_closer=_ANY_CLOSER,
-        formatting=_FORMATTING, markers=_AFE_MARKERS, scaffold=_TABLE_SCAFFOLD,
-        rule_tags=_BUILD_RULE_TAGS, pre=_NEWLINE_DROPPED,
-        no_nest=frozenset(("a",)), decode=_decode, parse_attrs=_parse_attrs)
+        whitespace_kind=WHITESPACE, comment_kind=COMMENT,
+        modes=(_BEFORE_HTML, _BEFORE_HEAD, _IN_HEAD, _AFTER_HEAD, _IN_BODY),
+        afe_marker=_AFE_MARKER, void=VOID_ELEMENTS, closed_by=_CLOSED_BY,
+        any_closer=_ANY_CLOSER, formatting=_FORMATTING, markers=_AFE_MARKERS,
+        scaffold=_TABLE_SCAFFOLD, rule_tags=_BUILD_RULE_TAGS,
+        pre=_NEWLINE_DROPPED, no_nest=frozenset(("a",)),
+        head_elements=HEAD_ELEMENTS, raw_text=frozenset(_RAWTEXT_CLOSE),
+        rcdata=RCDATA_ELEMENTS, entities=_HTML5_ENTITIES,
+        # html.unescape's numeric-reference tables
+        invalid_charrefs=_html._invalid_charrefs,
+        invalid_codepoints=frozenset(_html._invalid_codepoints))
 
 # frees a parsed tree by refcount (dom.release, in C when built)
 release = dom.release if _scan is None else _scan.release

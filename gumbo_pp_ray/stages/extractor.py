@@ -16,12 +16,22 @@ fails, so Ray task retries stay safe and idempotent.
 
 Fused assembly: the span→payload concatenation happens inside the
 task, so multi-MB HTML strings never cross an object-store boundary.
+It happens without per-span Python strings: the spans of a row sit
+next to each other in the text column's UTF-8 value buffer, so a row
+whose spans are in offset order and not null is one byte slice
+(``chunk_spans`` slices likewise), decoded once into the payload
+``parse`` reads; the payload cache hashes those bytes and the span byte
+lengths.  A row with out-of-order or null spans is first gathered span
+by span in offset order.  Decoding happens per row inside the row's
+``try``: parquet does not validate UTF-8, and a row that is not UTF-8
+quarantines as ``status="error"``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
+from itertools import accumulate
 
 import numpy as np
 import pyarrow as pa
@@ -59,16 +69,14 @@ class ExtractSpans:
         self._cache: dict = {}
         self.cache_hits = 0
 
-    def _extract(self, seg: list[str]):
-        """Parse + extract one document's payload → ``(kinds, texts,
-        media_refs, parse_errors)``; a payload of more than
-        ``chunk_spans`` input spans is parsed one slice at a time."""
-        chunk = self.chunk_spans
-        step = chunk if (chunk and len(seg) > chunk) else len(seg) or 1
+    def _extract(self, payloads: list[str]):
+        """Parse + extract one document, given as its payload slices
+        (one per ``chunk_spans`` input spans, or one for the whole
+        document) → ``(kinds, texts, media_refs, parse_errors)``."""
         spans: list = []
         errs = 0
-        for j in range(0, len(seg), step):
-            doc = parse("".join(seg[j:j + step]))
+        for payload in payloads:
+            doc = parse(payload)
             errs += doc.parse_errors
             spans += extract_spans(doc, self.profile)
             # cut the tree's parent/child cycles so it is freed by
@@ -79,9 +87,24 @@ class ExtractSpans:
         kinds, texts, refs, _offsets = zip(*spans)
         return kinds, texts, refs, errs
 
+    def _step(self, n_spans: int) -> int:
+        """Input spans per parsed slice of an ``n_spans``-span document."""
+        chunk = self.chunk_spans
+        return chunk if (chunk and n_spans > chunk) else n_spans or 1
+
+    def _cache_key(self, n_spans: int, byte_lens: bytes, payload) -> bytes:
+        """Payload cache key: the UTF-8 payload plus its span STRUCTURE
+        (span count, each span's byte length) and the chunking step.
+        Two payloads with the same concatenation but different span
+        boundaries can parse into different fragment groupings when
+        chunk_spans slices them."""
+        h = hashlib.md5(struct.pack("<qq", n_spans, self.chunk_spans or -1))
+        h.update(byte_lens)
+        h.update(payload)
+        return h.digest()
+
     def __call__(self, batch: pa.Table) -> pa.Table:
         max_bytes = self.max_doc_bytes
-        chunk = self.chunk_spans
         doc_ids = batch.column("doc_id").to_pylist()
         names = batch.schema.names
         # optional upstream-corruption marker (sources/warc.py error
@@ -93,7 +116,8 @@ class ExtractSpans:
         col = batch.column("spans")
         if isinstance(col, pa.ChunkedArray):
             col = col.combine_chunks()
-        texts = col.values.field("text").to_pylist()
+        text = col.values.field("text")
+        voff, data = _utf8_buffers(text)
         offs = col.values.field("offset").to_numpy(zero_copy_only=False)
         row_offsets = col.offsets.to_numpy(zero_copy_only=False)
         # rows whose span offsets are out of order, found once per
@@ -105,6 +129,14 @@ class ExtractSpans:
         desc = desc[~np.isin(desc, row_offsets)]
         unsorted = set((np.searchsorted(row_offsets, desc, side="right")
                         - 1).tolist())
+        # rows holding a null span text
+        valid = None
+        if text.null_count:
+            valid = text.is_valid().to_numpy(zero_copy_only=False)
+            unsorted.update((np.searchsorted(
+                row_offsets, np.flatnonzero(~valid), side="right")
+                - 1).tolist())
+        starts = voff.tolist()
 
         # flat columnar output accumulators — the spans list<struct>
         # column is assembled from four flat arrays + list offsets
@@ -128,54 +160,56 @@ class ExtractSpans:
                 quarantine("error", 0)
                 continue
             lo, hi = int(row_offsets[i]), int(row_offsets[i + 1])
-            if i in unsorted:                 # rare: enforce order
-                order = np.argsort(offs[lo:hi], kind="stable")
-                seg = [texts[lo + j] for j in order]
+            n = hi - lo
+            if i in unsorted:
+                # rare: the spans gathered in offset order, a null
+                # span read as ""
+                order = np.argsort(offs[lo:hi], kind="stable") + lo
+                raw = [data[starts[j]:starts[j + 1]]
+                       if valid is None or valid[j] else b"" for j in order]
+                lens = np.fromiter(map(len, raw), np.int64, n)
+                buf, bounds = b"".join(raw), [0, *accumulate(lens.tolist())]
             else:
-                seg = texts[lo:hi]
-            if None in seg:
-                # corrupt shard: a null span text must quarantine the
-                # ROW, never crash the batch (the documented contract)
-                seg = [s if s is not None else "" for s in seg]
-            # cheap code-point total first; UTF-8 can be up to 4x the
-            # code points, so only docs within 4x of the cap pay the
-            # exact byte count — the byte-bomb guard must measure
-            # BYTES or a 250M-char CJK page slips under a 256MB cap
-            total_bytes = sum(map(len, seg))
-            if max_bytes is not None and total_bytes * 4 > max_bytes:
-                total_bytes = sum(
-                    len(s.encode("utf-8", "surrogatepass"))
-                    for s in seg)
-            if max_bytes is not None and total_bytes > max_bytes:
-                quarantine("oversize", total_bytes)
+                # the spans are consecutive in the value buffer
+                lens = np.diff(voff[lo:hi + 1])
+                buf, bounds = data, starts[lo:hi + 1]
+            a, z = bounds[0], bounds[n]
+            if max_bytes is not None and z - a > max_bytes:
+                quarantine("oversize", z - a)
                 continue
+            # n_bytes_in: code points when 4 bytes per code point stays
+            # within max_doc_bytes, else UTF-8 bytes — the byte-bomb
+            # guard must measure BYTES or a 250M-char CJK page slips
+            # under a 256MB cap; UTF-8 bytes for a row that fails to
+            # decode
+            total_bytes = z - a
             try:
+                # each payload slice decoded once, straight from the
+                # bytes
+                step = self._step(n)
+                payloads = [str(buf[bounds[j]:bounds[min(j + step, n)]],
+                                "utf-8") for j in range(0, n, step)]
+                chars = sum(map(len, payloads))
+                if max_bytes is None or chars * 4 <= max_bytes:
+                    total_bytes = chars
                 ckey = hit = None
                 # only payloads the cache can STORE (< 1 MiB) are
                 # worth keying — hashing a 100 MB doc for a
                 # guaranteed miss costs ~100 ms in the hot stage
                 if self._cache_size and total_bytes < 1 << 20:
-                    # the key folds in the span STRUCTURE (count, each
-                    # segment's length) and the chunking step, not
-                    # just the concatenated text: two payloads with the
-                    # same concatenation but different span boundaries
-                    # can parse into different fragment groupings when
-                    # chunk_spans slices them
-                    h = hashlib.md5(struct.pack(
-                        f"<qq{len(seg)}q", len(seg), chunk or -1,
-                        *map(len, seg)))
-                    h.update("".join(seg).encode("utf-8", "surrogatepass"))
-                    ckey = h.digest()
+                    ckey = self._cache_key(n, lens.astype("<i8").tobytes(),
+                                           buf[a:z])
                     hit = cache.get(ckey)
                 if hit is not None:
                     self.cache_hits += 1
                 else:
-                    hit = self._extract(seg)
+                    hit = self._extract(payloads)
                     if ckey is not None:
                         if len(cache) >= self._cache_size:
                             cache.clear()
                         cache[ckey] = hit
             except Exception:           # poison row → quarantine, never raise
+                # (invalid UTF-8 included: parquet does not validate it)
                 quarantine("error", total_bytes)
                 continue
             kinds, span_texts, refs, errs = hit
@@ -210,6 +244,24 @@ class ExtractSpans:
             "n_spans": pa.array(n_spans, pa.int64()),
             "n_bytes_in": pa.array(n_bytes, pa.int64()),
         })
+
+
+def _utf8_buffers(text: pa.Array):
+    """A string array's value offsets (numpy, one more than its length)
+    and its UTF-8 value buffer (a memoryview): span ``j``'s bytes are
+    ``data[voff[j]:voff[j + 1]]``, and a row of consecutive spans is one
+    contiguous slice."""
+    if not (pa.types.is_string(text.type)
+            or pa.types.is_large_string(text.type)):
+        text = text.cast(pa.large_string())
+    width = np.int64 if pa.types.is_large_string(text.type) else np.int32
+    _, offsets, data = text.buffers()
+    if offsets is None:
+        voff = np.zeros(1, dtype=width)
+    else:
+        voff = np.frombuffer(offsets, dtype=width)[
+            text.offset:text.offset + len(text) + 1]
+    return voff, memoryview(data if data is not None else b"")
 
 
 #: ``(run token, ExtractSpans)`` of the run this worker process last

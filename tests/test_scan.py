@@ -7,12 +7,14 @@ import json
 import logging
 import os
 import string
+from html import unescape
+from html.entities import html5
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gumbo_pp_ray.html import ELEMENT, TEXT, _native, parser, walk
+from gumbo_pp_ray.html import COMMENT, ELEMENT, TEXT, _native, parser, walk
 from gumbo_pp_ray.html.parser import ParseOptions, parse
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "data",
@@ -98,19 +100,28 @@ def test_scanner_tokens():
     assert shape(tb.body) == [(TEXT, "a", 0, 1, []),
                               (ELEMENT, "p", 1, 18, [(TEXT, "b", 11, 12, [])])]
     # stops before the first token it leaves to the Python loop
-    for rest in ("<!-- c -->", "<script>", "<image>", "</p/>", "< p>",
-                 "<?pi>", "<a b='>", "<" + "x" * 256 + ">"):
+    for rest in ("<!-->", "<!--->", "<!--a--!>b-->", "<!-- c", "<![CDATA[x]]>",
+                 "<!x>", "<!doctype html>", "<script/>", "<image>", "</p/>",
+                 "< p>", "<?pi>", "<a b='>", "<" + "x" * 256 + ">"):
         tb = in_body("")
         assert build("\U0001F600é<b>" + rest, 0, d, tb) == (None, 5), rest
         assert shape(tb.body) == [(TEXT, "\U0001F600é", 0, 2, []),
                                   (ELEMENT, "b", 2, 5, [])], rest
+    # plain comments and raw text are built natively
+    tb = in_body("")
+    assert build("<!-- c --><script>a</b></script>", 0, d, tb) == (None, 32)
+    assert shape(tb.body) == [(COMMENT, " c ", 0, 10, []),
+                              (ELEMENT, "script", 10, 32,
+                               [(TEXT, "a</b>", 18, 23, [])])]
     # an end tag that closes nothing open is handed back
     assert build("</p\xa0>", 0, d, in_body("")) == ((2, "p", 0, 5), 5)
     assert build("<a>", 3, d, in_body("")) == (None, 3)
-    # before <body>, every token is handed back, one per call
+    # the scaffold is built natively; an implied <head> is a Python rule
     tb = parser._TreeBuilder(20)
-    assert build("<html>\n<body>", 0, d, tb) == ((1, "html", {}, 0, 6,
-                                                   False), 6)
+    assert build("<html>\n<body>", 0, d, tb) == ((1, "body", {}, 7, 13,
+                                                   False), 13)
+    assert [e.tag for e in tb.stack[1:]] == ["html"]
+    assert tb.mode == parser._BEFORE_HEAD
 
 
 @pytest.mark.parametrize("before, token, want", [
@@ -124,9 +135,8 @@ def test_scanner_tokens():
     ("", "<div/>", (1, "div", {}, 0, 6, True)),
     ("<a href=1>x", "<a href=2>", (1, "a", {"href": "2"}, 11, 21, False)),
     ("<b>" * 3, "<b>", (1, "b", {}, 9, 12, False)),     # Noah's Ark
-    ("<div>", "</span>", (2, "span", 5, 12)),           # not the top
-    ("<div><p>", "</div>", (2, "div", 8, 14)),
-    ("", "</body>", (2, "body", 0, 7)),
+    ("<b><div>", "</b>", (2, "b", 8, 12)),              # adoption agency
+    ("<div>", "</p>", (2, "p", 5, 9)),                  # no open p
 ])
 def test_build_hands_back_tokens_with_rules(before, token, want):
     tb = in_body(before)
@@ -135,6 +145,31 @@ def test_build_hands_back_tokens_with_rules(before, token, want):
         == (want, n + len(token))
     # nothing of the token was inserted
     assert shape(tb.doc) == shape(in_body(before).doc)
+
+
+@pytest.mark.parametrize("before, token", [
+    ("<div>", "</span>"),               # unmatched: an error, nothing closes
+    ("<div><p>", "</div>"),             # misnested: p closes at </div>
+    ("", "</body>"),                    # body records it and stays open
+    ("<div><b>x<i>y", "</div>"),        # formatting popped: afe dirty
+    ("<table><tr><td><b>", "</table>"),  # table/cell markers cleared
+    ("<p><span>", "</p>"),
+])
+def test_build_closes_end_tags_below_the_top(before, token):
+    """In body, a non-formatting end tag below the stack top is closed
+    natively, exactly as _TreeBuilder.end_tag's stack walk closes it."""
+    native = in_body(before)
+    n = len(before)
+    assert parser._scan.build(before + token, n, parser._SCAN_DEFER, native) \
+        == (None, n + len(token))
+    python = in_body(before)
+    python.end_tag(token[2:-1], n, n + len(token))
+    assert shape(native.doc) == shape(python.doc)
+    assert (native.errors, native.parse_errors, native.afe_dirty) \
+        == (python.errors, python.parse_errors, python.afe_dirty)
+    assert [e.tag for e in native.stack[1:]] \
+        == [e.tag for e in python.stack[1:]]
+    assert len(native.afe) == len(python.afe)
 
 
 def test_build_hands_back_text_while_formatting_is_dirty():
@@ -151,32 +186,48 @@ def test_build_hands_back_text_while_formatting_is_dirty():
 
 def test_well_formed_body_never_reaches_the_python_builder():
     """A fast path that silently turned off would still give the same
-    trees; this pins that only the tokens before <body>, and the end
-    tags of body and html, reach the Python builder methods."""
-    html = ("<!DOCTYPE html>\n<html lang=en>\n<head>\n<meta charset=utf-8>"
-            "\n<title>T</title>\n</head>\n<body>\n<div id=main><h1>Head</h1>"
-            "<p>One <b>two</b> <a href=x>th&amp;ree</a>.</p>\n<ul><li>a</li>"
-            "<li>b</li></ul><table><tr><td>1</td><td>2</td></tr></table>"
-            "<img src=i.png><br></div>\n</body>\n</html>\n")
+    trees; this pins that a well-formed page (doctype, comments, the
+    html/head/body scaffold, raw text and RCDATA, attributes and text
+    with character references) is built without one call of the Python
+    builder's token methods or of its attribute and entity decoders."""
+    html = ("<!DOCTYPE html>\n<!-- top -->\n<html lang=en>\n<head>\n"
+            "<meta charset=utf-8>\n<title>T &amp; &#x41;</title>\n"
+            "<style>p > b { color: red }</style>\n"
+            "<script>if (a < b && c) { x = '</div>'; }</script>\n"
+            "<link rel=stylesheet href='s.css?a=1&amp;b=2&notify=1'>\n"
+            "</head>\n<body class='home &amp; x'>\n<!-- a comment -->\n"
+            "<div id=main><h1>Head</h1><p>One <b>two</b> <a href=x?y=1&not=2>"
+            "th&amp;ree &#x41; &not here</a>.</p>\n<ul><li>a</li><li>b</li>"
+            "</ul><table><tr><td>1</td><td>2</td></tr></table><img src=i.png"
+            " alt='&#169; 2024'><br><textarea>\nx &lt;</textarea></div>\n"
+            "</body>\n</html>\n")
     calls = []
 
-    def spy(name):
-        method = getattr(parser._TreeBuilder, name)
+    def spy(owner, name):
+        method = getattr(owner, name)
 
-        def record(tb, first, *args):
-            calls.append((name, first))
-            return method(tb, first, *args)
-        return mock.patch.object(parser._TreeBuilder, name, record)
+        def record(*args):
+            calls.append((name, args[1] if owner is parser._TreeBuilder
+                          else args[0]))
+            return method(*args)
+        return mock.patch.object(owner, name, record)
 
-    with spy("start_tag"), spy("end_tag"), spy("text"):
+    with spy(parser._TreeBuilder, "start_tag"), \
+            spy(parser._TreeBuilder, "end_tag"), \
+            spy(parser._TreeBuilder, "text"), \
+            spy(parser._TreeBuilder, "comment"), \
+            spy(parser, "_parse_attrs"), spy(parser, "_decode"), \
+            spy(parser, "_decode_attr"):
         doc = parse(html)
-    assert calls == [
-        ("text", "\n"), ("start_tag", "html"), ("text", "\n"),
-        ("start_tag", "head"), ("text", "\n"), ("start_tag", "meta"),
-        ("text", "\n"), ("start_tag", "title"), ("text", "\n"),
-        ("end_tag", "head"), ("text", "\n"), ("start_tag", "body"),
-        ("end_tag", "body"), ("end_tag", "html")]
-    assert doc.parse_errors == 0
+    assert calls == []
+    assert doc.parse_errors == 0 and doc.doctype == "html"
+    first = {}
+    for n in walk(doc):
+        first.setdefault(getattr(n, "tag", n.kind), n)
+    assert first["title"].children[0].text == "T & A"
+    assert first["link"].attrs["href"] == "s.css?a=1&b=2&notify=1"
+    assert first["body"].attrs == {"class": "home & x"}
+    assert first["textarea"].children[0].text == "x <"
     assert_same(html)
 
 
@@ -280,3 +331,119 @@ def builder_soup(draw):
 @example("<b><b><b><b><b>x</b></b></b></b></b>" * 2, None)
 def test_builder_soup_parses_identically(html, opts):
     assert_same(html, opts)
+
+
+# character references in text and in attribute values: numeric at the
+# edges of html.unescape's tables, legacy names before alphanumerics and
+# '=', names at the end of input, unknown names; duplicate and unquoted
+# attributes
+_REF = st.one_of(
+    st.sampled_from((
+        "&amp;", "&amp", "&AMP", "&notit;", "&notin;", "&not=", "&not",
+        "&noti", "&ampx;", "&gt1", "&lt;&gt;", "&bogus;", "&#;", "&#x;",
+        "&#xZ", "&&amp;", "&;", "& amp;", "&a", "&ab", "&nGt;", "&#",
+        "&" + "a" * 40 + ";", "&CounterClockwiseContourIntegral;",
+        "&CounterClockwiseContourIntegralx;", "&é;", "&amp\u0130")),
+    st.builds("&#{}{}".format,
+              st.one_of(st.integers(0, 0xA0), st.integers(0xD7FF, 0xE000),
+                        st.integers(0xFDCF, 0xFDF0), st.integers(0xFFFD, 0x10000),
+                        st.integers(0x10FFFE, 0x110001),
+                        st.just(10 ** 30)),
+              st.sampled_from(("", ";"))),
+    st.builds("&#x{:X}{}".format,
+              st.one_of(st.integers(0x7E, 0xA0), st.integers(0xD800, 0xDFFF),
+                        st.integers(0x10FFFF, 0x110000),
+                        st.just(16 ** 20)),
+              st.sampled_from(("", ";"))),
+)
+_REF_TEXT = st.lists(st.one_of(_REF, st.sampled_from(
+    ("x", "1", "=", ";", " ", "é", "\u0130", "\n"))), max_size=6).map("".join)
+
+
+@st.composite
+def reference_soup(draw):
+    parts = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.integers(0, 2))
+        if kind == 0:
+            parts.append(draw(_REF_TEXT))
+        else:
+            attrs = []
+            for _ in range(draw(st.integers(0, 3))):
+                name = draw(st.sampled_from(("href", "HREF", "alt", "x",
+                                             "data-é", "\u0130d")))
+                quote = draw(st.sampled_from(('"', "'", "")))
+                value = draw(_REF_TEXT)
+                if not quote:
+                    value = "".join(c for c in value if c not in " \n>")
+                attrs.append(f" {name}={quote}{value}{quote}"
+                             if draw(st.booleans()) else f" {name}")
+            tag = draw(st.sampled_from(("p", "a", "title", "textarea")))
+            parts.append(f"<{tag}{''.join(attrs)}>")
+    html = "".join(parts)
+    return html if draw(st.booleans()) else "<body>" + html
+
+
+@settings(max_examples=1500, deadline=None)
+@given(reference_soup())
+@example("<p title=&notit;>&notit;")
+@example("<a href='?a=1&amp'>&amp")
+@example("<p>&#128;&#x9F;&#0;&#xD800;&#1114112;&#65535;&#13;</p>")
+def test_character_references_decode_identically(html):
+    assert_same(html)
+
+
+def test_every_numeric_reference_decodes_as_html_unescape():
+    cps = list(range(0, 0x110000, 7)) + list(range(0x80, 0xA0)) + [
+        0xD800, 0xDFFF, 0xFDD0, 0xFFFE, 0x10FFFF, 0x110000, 10 ** 12]
+    text = "".join(f"&#{cp};&#x{cp:x}" for cp in cps)
+    doc = parse("<body><p>" + text + f"<p title='{text}'>")
+    p1, p2 = doc.children[0].children[1].children
+    assert p1.children[0].text == unescape(text)
+    assert p2.attrs["title"] == parser._decode_attr(text)
+
+
+def test_every_named_reference_decodes_identically():
+    names = sorted(html5)
+    for after in ("", ";", "x", "=", "1", " ", "é"):
+        text = "".join(f"&{name}{after}|" for name in names)
+        assert_same(f"<p>{text}</p><p title=\"{text}\">")
+
+
+@pytest.mark.parametrize("html", [
+    "<script>a</script >b", "<script>a</SCRIPT\tb", "<script>a</SCRIPT",
+    "<script>a</scriptx>b</script>", "<style>a", "<style>", "<title/>x",
+    "<title>a&amp;b</title/>", "<textarea>\r\nx</textarea>",
+    "<textarea>\r</textarea>", "<textarea>\n\n</textarea>",
+    "<textarea></textarea>", "<xmp><b></xmp>", "<noembed>a</noembed",
+    "<noframes>&amp;</noframes>", "<script>a</\u017fcript>b",
+    "<title>a</t\u0130tle>b", "<title>a</t\u0131tle>b", "<script/>x",
+    "<body><script>\n</script>", "<head><style> </style><title>&lt;</title>",
+    "<head><textarea>x</textarea>", "<html><head><noembed>x",
+    "<table><script>x</script><tr><td><style>y</style>",
+])
+def test_raw_text_parses_identically(html):
+    for opts in OPTIONS:
+        assert_same(html, opts)
+
+
+@pytest.mark.parametrize("html", [
+    "<!-- plain -->x", "<!-->x", "<!--->x", "<!--a--!>x-->", "<!--a-->b--!>",
+    "<!-- eof", "<!---->x", "<!--a--b-->", "<html><!--c--><head><!--d-->"
+    "</head><!--e--><body><!--f--></body><!--g--></html><!--h-->",
+])
+def test_comments_parse_identically(html):
+    for opts in OPTIONS:
+        assert_same(html, opts)
+        assert_same("<!DOCTYPE html>" + html, opts)
+
+
+@settings(max_examples=800, deadline=None)
+@given(st.lists(st.sampled_from((
+    "<b>", "<i>", "<a href=1>", "<em>", "<div>", "<span>", "<p>", "<ul>",
+    "<li>", "<table>", "<td>", "x", "</div>", "</span>", "</ul>", "</li>",
+    "</p>", "</td>", "</table>", "</b>", "</i>", "</body>", "</html>",
+    "</head>", "</nope>")), max_size=16).map("".join))
+def test_misnested_end_tags_parse_identically(html):
+    assert_same(html)
+    assert_same("<!DOCTYPE html><html><head></head><body>" + html)

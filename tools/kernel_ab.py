@@ -16,7 +16,12 @@ process, the minimum over fresh processes is the number that repeats.
 ``--layer parse`` times ``parse()`` plus ``release()`` alone over the
 same payloads (each row's spans joined in offset order), without the
 row loop, extraction or the payload cache, so a parser change can be
-A/B'd on its own.  ``--layer extract`` parses those payloads once,
+A/B'd on its own; each process also reports
+``builder_calls_per_page``, the mean number of token calls per page
+that reach the Python ``_TreeBuilder`` methods (``start_tag``,
+``end_tag``, ``text``, ``comment``, ``doctype``, ``cdata``), counted in
+one extra untimed pass: the tokens the native builder hands back or
+leaves to ``parse``'s own loop.  ``--layer extract`` parses those payloads once,
 untimed, and times ``extract_spans`` alone over the trees (default
 profile), the A/B for a change to the span walk.
 
@@ -85,10 +90,31 @@ for _ in range(reps):
     run(ex)
     best = min(best, time.process_time() - t0)
 scan = getattr(parser, "_scan", None)
-print(json.dumps({"min_cpu_s": round(best, 4),
-                  "native": None if scan is None else
-                  "extract" if hasattr(scan, "extract") else
-                  "build" if hasattr(scan, "build") else "scan"}))
+res = {"min_cpu_s": round(best, 4),
+       "native": None if scan is None else
+       "extract" if hasattr(scan, "extract") else
+       "build" if hasattr(scan, "build") else "scan"}
+if layer == "parse":
+    # one more, untimed pass counting the tokens the Python builder
+    # methods take (the native builder's hand-backs, and every token
+    # parse's own loop tokenizes)
+    calls = [0]
+
+    def counted(method):
+        def call(*args):
+            calls[0] += 1
+            return method(*args)
+        return call
+    tb = parser._TreeBuilder
+    methods = {m: getattr(tb, m) for m in ("start_tag", "end_tag", "text",
+                                           "comment", "doctype", "cdata")}
+    for m, f in methods.items():
+        setattr(tb, m, counted(f))
+    run(None)
+    for m, f in methods.items():
+        setattr(tb, m, f)
+    res["builder_calls_per_page"] = round(calls[0] / len(work), 2)
+print(json.dumps(res))
 """
 
 
@@ -130,19 +156,24 @@ def main(argv=None):
                          "perfbench/run.py --workload extract_pages "
                          f"--seed {seed} first")
             best = {"parent": float("inf"), "new": float("inf")}
+            calls = {}
             for r in range(a.rounds):
                 order = ("parent", "new") if (seed + r) % 2 == 0 else (
                     "new", "parent")
                 for side in order:
                     res = run_side(sides[side], found[0], a.reps, a.layer, cwd)
                     best[side] = min(best[side], res["min_cpu_s"])
+                    if "builder_calls_per_page" in res:
+                        calls[side] = res["builder_calls_per_page"]
                     print(json.dumps({"seed": seed, "round": r,
                                       "side": side, **res}), flush=True)
             ratio = best["new"] / best["parent"]
             ratios.append(ratio)
             print(json.dumps({"seed": seed, "parent_s": best["parent"],
                               "new_s": best["new"],
-                              "ratio": round(ratio, 3)}), flush=True)
+                              "ratio": round(ratio, 3),
+                              **({"builder_calls_per_page": calls}
+                                 if calls else {})}), flush=True)
     print(json.dumps({"median_ratio": round(statistics.median(ratios), 3)}))
 
 
