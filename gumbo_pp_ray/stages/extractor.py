@@ -87,11 +87,6 @@ class ExtractSpans:
         kinds, texts, refs, _offsets = zip(*spans)
         return kinds, texts, refs, errs
 
-    def _step(self, n_spans: int) -> int:
-        """Input spans per parsed slice of an ``n_spans``-span document."""
-        chunk = self.chunk_spans
-        return chunk if (chunk and n_spans > chunk) else n_spans or 1
-
     def _cache_key(self, n_spans: int, byte_lens: bytes, payload) -> bytes:
         """Payload cache key: the UTF-8 payload plus its span STRUCTURE
         (span count, each span's byte length) and the chunking step.
@@ -186,7 +181,8 @@ class ExtractSpans:
             try:
                 # each payload slice decoded once, straight from the
                 # bytes
-                step = self._step(n)
+                chunk = self.chunk_spans
+                step = chunk if (chunk and n > chunk) else n or 1
                 payloads = [str(buf[bounds[j]:bounds[min(j + step, n)]],
                                 "utf-8") for j in range(0, n, step)]
                 chars = sum(map(len, payloads))

@@ -21,9 +21,9 @@ A/B'd on its own; each process also reports
 that reach the Python ``_TreeBuilder`` methods (``start_tag``,
 ``end_tag``, ``text``, ``comment``, ``doctype``, ``cdata``), counted in
 one extra untimed pass: the tokens the native builder hands back or
-leaves to ``parse``'s own loop.  ``--layer extract`` parses those payloads once,
-untimed, and times ``extract_spans`` alone over the trees (default
-profile), the A/B for a change to the span walk.
+leaves to ``parse``'s own loop.  ``--layer extract`` parses those
+payloads once, untimed, and times ``extract_spans`` alone over the
+trees (default profile), the A/B for a change to the span walk.
 
     python tools/kernel_ab.py PARENT_CHECKOUT [--seeds 1-5] [--reps 5]
                               [--rounds 2] [--layer kernel|parse|extract]
