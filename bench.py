@@ -92,11 +92,11 @@ def bench_extract() -> dict:
     shutil.rmtree(sink, ignore_errors=True)
 
     t0 = time.perf_counter()
-    # blocks sized so each extraction slot sees 4-8 sub-second tasks:
-    # 64 blocks over 24 concurrent tasks quantizes to 2-3 tasks/slot
-    # and the 1-extra-task slots set the critical path (measured
-    # round 4 with an actor pool: 128 blocks ~15% faster than 64;
-    # 192 ≈ 128)
+    # at least 128 read blocks, one extraction task each (the map
+    # fuses with the write, as many tasks at once as Ray has CPUs):
+    # many sub-second tasks even out each CPU's finish time.  When
+    # that is more blocks than the corpus has files, Ray splits the
+    # read blocks (SplitBlocks) and the read stays its own operator
     ds = ray.data.read_parquet(corpus, columns=["doc_id", "spans"],
                                override_num_blocks=max(128, 4 * NUM_CPUS))
     out = extract_dataset(ds, split_threshold=256, batch_size=None)

@@ -2,9 +2,12 @@
 
 Topology (SURVEY.md §3.4) — PURE MAP, no exchange::
 
-    read (column-pruned)
-      → map_batches(extract_batch, tasks)     # fused assemble+parse+extract
+    read (column-pruned, one block per shard)
+      → map_batches(extract_batch)            # assemble+parse+extract
       → _WaveSink (ok rows → wave, others → quarantine; atomic, resumable)
+
+Ray fuses the three into one operator: one task per input file reads,
+extracts and writes it.
 
 Each input row stays a complete document through extraction, so
 nothing is grouped or exchanged. Mega-doc skew is handled inside the
@@ -30,6 +33,7 @@ import json
 import os
 import time
 import uuid
+import warnings
 from collections import Counter
 
 import pyarrow as pa
@@ -51,27 +55,31 @@ def extract_dataset(
     profile: ExtractProfile | None = None,
     split_threshold: int | None = 256,
     concurrency=None,
-    batch_size: int = 96,
+    batch_size: int | None = 96,
     max_doc_bytes: int | None = 256 * 1024 * 1024,
 ) -> "ray.data.Dataset":
-    """Compose the extraction stages over an interleaved-docs Dataset.
+    """Compose the extraction stage over an interleaved-docs Dataset.
 
     ``split_threshold`` is the kernel's ``chunk_spans`` slice size: a
     document with more input spans is parsed one slice at a time
     (bounded DOM memory) and emitted as one complete row; ``None``
-    parses every document whole. The extraction task stage is the last
-    operator: at most ``concurrency`` tasks at once, one CPU each. Each
-    call gets a fresh run token, so the workers' extractors (profile,
-    payload cache) are scoped to this run.
+    parses every document whole. Each call gets a fresh run token, so
+    the workers' extractors (profile, payload cache) are scoped to this
+    run.
 
-    ``batch_size`` is the rows per kernel call; the rows per task are
-    derived (``state.sizing.rows_per_task``), and ``None`` runs one
-    task, and one kernel call, per input block.
+    The stage is a plain map: one task per input block, one CPU each,
+    no pool size. Ray fuses it with the read before it and the write
+    or maps after it, so ``read_interleaved`` (one block per shard)
+    → extract → ``write_parquet`` runs as the one operator
+    ``ReadParquet->MapBatches(extract_batch)->Write``: one task per
+    file, as many at once as Ray has CPUs. ``batch_size`` is the rows
+    per kernel call inside a task (``None``: the whole block in one
+    call).
+
+    ``concurrency`` is ignored and deprecated: a sized task pool does
+    not fuse with a default write.
     """
-    from ..state.sizing import default_pool_size, rows_per_task
-
-    if concurrency is None:
-        concurrency = default_pool_size()
+    _ignore_concurrency("extract_dataset", concurrency)
     return ds.map_batches(
         extract_batch,
         fn_kwargs={
@@ -81,10 +89,17 @@ def extract_dataset(
             "max_doc_bytes": max_doc_bytes,
             "chunk_spans": split_threshold},
         batch_format="pyarrow",
-        batch_size=rows_per_task(ds, concurrency, batch_size),
+        batch_size=None,
         num_cpus=1,
-        concurrency=concurrency,
     )
+
+
+def _ignore_concurrency(caller: str, concurrency):
+    if concurrency is not None:
+        warnings.warn(
+            f"{caller}: concurrency= is ignored (the extraction stage "
+            "runs one task per input block, as wide as Ray's CPUs) and "
+            "will be removed", DeprecationWarning, stacklevel=3)
 
 
 def shutil_rmtree(path: str):
@@ -202,7 +217,7 @@ def run_extraction(
     profile: ExtractProfile | None = None,
     split_threshold: int | None = 256,
     concurrency=None,
-    batch_size: int = 96,
+    batch_size: int | None = 96,
     files_per_wave: int = 32,
     resume: bool = True,
     max_doc_bytes: int | None = 256 * 1024 * 1024,
@@ -224,17 +239,18 @@ def run_extraction(
     writes identically-shaped parquet.  Commit/resume semantics are
     format-independent.
 
-    ``batch_size`` is the rows per kernel call; the rows per task are
-    derived from each wave's row count (see ``extract_dataset``).
+    Each wave runs as one fused operator, read → extract →
+    ``_WaveSink``: one task per input shard (per archive for WARC), as
+    many at once as Ray has CPUs, so a wave of one large file is one
+    task. ``batch_size`` is the rows per kernel call; ``concurrency``
+    is ignored and deprecated (see ``extract_dataset``).
 
     The first run into ``out_dir`` pins the settings that shape the
     output bytes (``split_threshold``, ``max_doc_bytes``,
     ``output_format``, the profile); a later run with different ones
     raises ``ValueError`` before any wave runs.
     """
-    if concurrency is None:
-        from ..state.sizing import default_pool_size
-        concurrency = default_pool_size()
+    _ignore_concurrency("run_extraction", concurrency)
     # input kind by shard extension: interleaved parquet/lance tables,
     # or raw WARC archives (Common Crawl shape) — WARC waves read the
     # archives and bridge through warc_to_interleaved, so the resume
@@ -301,22 +317,11 @@ def run_extraction(
             from ..sources.warc import read_warc, warc_to_interleaved
             ds = read_warc(wave_files).map_batches(
                 warc_to_interleaved, batch_format="pyarrow")
-            # one task per archive: with no row count known, a batch
-            # size packs ALL of a wave's one-row archive blocks into ONE
-            # task (measured 10x wave slowdown on the 1M-page drill)
-            wave_batch_size = None
         else:
-            # 4N read blocks, bundled into 2N tasks by extract_dataset:
-            # blocks==files would quantize to ~1 file per worker, and
-            # the slowest file would set the wave's critical path
-            ds = read_interleaved(
-                wave_files,
-                override_num_blocks=max(4 * concurrency, len(wave_files)))
-            wave_batch_size = batch_size
+            ds = read_interleaved(wave_files)
         out = extract_dataset(ds, profile=profile,
                               split_threshold=split_threshold,
-                              concurrency=concurrency,
-                              batch_size=wave_batch_size,
+                              batch_size=batch_size,
                               max_doc_bytes=max_doc_bytes)
         # PER-RUN-UNIQUE tmp names (the wave and its quarantine): a
         # tmp shared by two racing runs let one delete the other's

@@ -9,7 +9,7 @@ sharing a key meet in ONE vectorized UDF call per bucket.
   same key gets the same bucket in every process and from every row
   type — the co-group contract (signature rows meet pair rows, label
   rows meet edge rows).
-* **sizing**: ``partitions_for``, one rows-per-task rule.
+* **sizing**: ``partitions_for``, one rows-per-partition rule.
 * **the call**: ``exchange``, which also logs the partition count.
 """
 
@@ -99,14 +99,14 @@ def digest_buckets(col, num_buckets: int) -> np.ndarray:
     return ((v[:, 0] ^ v[:, 1]) % np.uint64(num_buckets)).astype(np.int64)
 
 
-def partitions_for(n_rows: int, rows_per_task: int, *, floor: int = 8,
+def partitions_for(n_rows: int, rows_per_partition: int, *, floor: int = 8,
                    cap: int = 65536) -> int:
-    """Partition (or bucket) count targeting ``rows_per_task`` rows per
-    reducer task: ``ceil(n_rows / rows_per_task)`` clamped to
-    ``[floor, cap]``.  Sort-based map_groups pays a fixed cost per
+    """Partition (or bucket) count targeting ``rows_per_partition``
+    rows per reducer task: ``ceil(n_rows / rows_per_partition)``
+    clamped to ``[floor, cap]``.  Sort-based map_groups pays a fixed cost per
     partition, so tiny inputs take the floor; huge ones need enough
     partitions to bound per-task memory."""
-    return max(floor, min(cap, -(-n_rows // rows_per_task)))
+    return max(floor, min(cap, -(-n_rows // rows_per_partition)))
 
 
 def exchange(ds, fn, *, key: str = "bucket", num_partitions: int,

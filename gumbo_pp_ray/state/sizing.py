@@ -6,6 +6,10 @@ Sizing rules (each failure mode measured on a single node):
   (``default_pool_size()``): cluster CPUs minus 2, so read/write/
   shuffle tasks keep CPUs. Ray's autoscaling ramps far too slowly for
   batch jobs (autoscale (1,30): 7.4k docs/s vs fixed 24: 15k docs/s).
+  Extraction is no longer such a stage: it is a plain map that Ray
+  fuses with its read and write (one task per input file, as wide as
+  Ray's CPUs; ``pipelines.extract_pipeline``), and a sized pool would
+  stop that fusion.
 * A stage is a plain task function — stateless, or reading a
   broadcast side through ``state.broadcast.broadcast_state`` (built
   once per warm worker). Only stages whose state is NOT a broadcast
@@ -14,10 +18,6 @@ Sizing rules (each failure mode measured on a single node):
   stages that sum to every core starve the read/shuffle tasks —
   observed as a hard livelock (idle-worker SIGTERM → lost blocks →
   unsatisfiable re-execution); a min of 1 cannot deadlock.
-* A hot-stage task gets ``rows_per_task`` rows: two tasks per worker,
-  so Ray's fixed cost per task (dispatch, and seeing the finish only
-  after the next write or a 0.1 s ``ray.wait``) is paid a few times
-  per run, not once per read block.
 * A plan gate that needs a row count asks ``row_count``: the input's
   plan metadata when it knows the count (a parquet read: nothing
   runs), else ONE materialize of the caller's narrow per-document
@@ -98,23 +98,3 @@ def row_count(ds, caller: str, derived=None) -> tuple:
         n, source = out.count(), "materialized"
     log.info("%s: rows=%d source=%s", caller, n, source)
     return out, n
-
-
-def rows_per_task(ds, concurrency: int, floor: int | None) -> int | None:
-    """Rows per task of a ``concurrency``-wide stage over ``ds``:
-    ``max(floor, ceil(rows / (2 * concurrency)))``, capped at one
-    ``target_max_block_size`` of input.  ``rows`` is plan metadata
-    (parquet footers), never an execution; unknown rows (e.g. after a
-    ``map_batches``) give ``floor``; ``floor=None`` (one task per input
-    block) stays ``None``.  Logs the decision."""
-    rows, size = _plan_rows(ds)
-    cap = ds.context.target_max_block_size
-    n = floor
-    if rows and floor is not None:
-        n = max(floor, -(-rows // (2 * concurrency)))
-        if size and cap:
-            n = min(n, max(1, cap * rows // size))
-    log.info("task size: rows=%s concurrency=%d rows_per_task=%s "
-             "kernel_batch=%s", "unknown" if rows is None else rows,
-             concurrency, n or "per block", floor)
-    return n

@@ -4,6 +4,7 @@ checkpoint/resume."""
 
 import json
 import os
+import re
 import shutil
 
 import pyarrow as pa
@@ -82,8 +83,7 @@ def test_e2e_span_sequence_equality(ray_session, corpus_table):
     expected = kernel_reference(corpus_table)
     ds = ray.data.from_arrow(corpus_table)
     # mega-docs (400 spans) are parsed in 64-span slices in the kernel
-    out = extract_dataset(ds, split_threshold=64, concurrency=2,
-                          batch_size=16)
+    out = extract_dataset(ds, split_threshold=64, batch_size=16)
     rows = out.take_all()
     assert len(rows) == corpus_table.num_rows
     for r in rows:
@@ -99,8 +99,7 @@ def test_e2e_no_split_pure_map_path(ray_session, corpus_table):
 
     expected = kernel_reference(corpus_table)
     ds = ray.data.from_arrow(corpus_table)
-    out = extract_dataset(ds, split_threshold=None, concurrency=2,
-                          batch_size=16)
+    out = extract_dataset(ds, split_threshold=None, batch_size=16)
     for r in out.take_all():
         got = [(s["kind"], s["text"], s["media_ref"], s["offset"])
                for s in r["spans"]]
@@ -114,8 +113,7 @@ def test_run_extraction_resume(ray_session, tmp_path):
     out1 = str(tmp_path / "out")
     write_corpus(inp, CorpusSpec(num_docs=40, mega_every=0), files=4)
 
-    s1 = run_extraction(inp, out1, files_per_wave=1, concurrency=2,
-                        batch_size=16)
+    s1 = run_extraction(inp, out1, files_per_wave=1, batch_size=16)
     assert s1["waves_total"] == 4 and s1["waves_run"] == 4
     assert s1["docs"] == 40 and s1["errors"] == 0
 
@@ -123,8 +121,7 @@ def test_run_extraction_resume(ray_session, tmp_path):
     shutil.rmtree(os.path.join(out1, "wave-00003"))
     os.remove(os.path.join(out1, "_lineage", "wave-00003.json"))
 
-    s2 = run_extraction(inp, out1, files_per_wave=1, concurrency=2,
-                        batch_size=16)
+    s2 = run_extraction(inp, out1, files_per_wave=1, batch_size=16)
     assert s2["waves_skipped"] == 3 and s2["waves_run"] == 1
     assert s2["docs"] == 40
 
@@ -152,14 +149,12 @@ def test_run_extraction_resume_uncommitted_wave(ray_session, tmp_path):
     inp = str(tmp_path / "corpus")
     out1 = str(tmp_path / "out")
     write_corpus(inp, CorpusSpec(num_docs=20, mega_every=0), files=2)
-    s1 = run_extraction(inp, out1, files_per_wave=1, concurrency=2,
-                        batch_size=16)
+    s1 = run_extraction(inp, out1, files_per_wave=1, batch_size=16)
     assert s1["waves_run"] == 2
     # simulate: wave dir committed, manifest write lost
     os.remove(os.path.join(out1, "_lineage", "wave-00001.json"))
     assert os.path.isdir(os.path.join(out1, "wave-00001"))
-    s2 = run_extraction(inp, out1, files_per_wave=1, concurrency=2,
-                        batch_size=16)
+    s2 = run_extraction(inp, out1, files_per_wave=1, batch_size=16)
     assert s2["waves_skipped"] == 1 and s2["waves_run"] == 1
     assert s2["docs"] == 20
     assert os.path.exists(os.path.join(out1, "_lineage",
@@ -210,7 +205,7 @@ def test_run_extraction_quarantine(ray_session, tmp_path):
     out = str(tmp_path / "qo")
     write_corpus(inp, CorpusSpec(num_docs=20, mega_every=0), files=2)
     # tiny byte cap → most docs quarantined as oversize
-    s = run_extraction(inp, out, files_per_wave=2, concurrency=2,
+    s = run_extraction(inp, out, files_per_wave=2,
                        batch_size=8, max_doc_bytes=400)
     assert s["errors"] > 0
     assert s["docs"] == 20
@@ -326,85 +321,62 @@ def _plan_ops(ds):
     return ops
 
 
-def test_extraction_runs_as_task_stage(ray_session, tmp_path, monkeypatch):
-    """``extract_dataset`` is one task-pool MapBatches of the size asked
-    for; no actor pool anywhere on the extraction path, waves
-    included."""
+def test_extraction_fuses_read_extract_write(ray_session, tmp_path,
+                                            monkeypatch):
+    """Read → extract → write executes as ONE fused operator, one task
+    per input file: for ``extract_dataset`` over ``read_interleaved``
+    with the default write, and for every ``run_extraction`` wave with
+    its ``_WaveSink``.  No actor pool anywhere; the deprecated
+    ``concurrency=`` warns and changes nothing."""
     import ray.data
-    from ray.data._internal.compute import (ActorPoolStrategy,
-                                            TaskPoolStrategy)
-    from ray.data._internal.logical.operators.map_operator import (
-        MapBatches)
+    from ray.data._internal.compute import ActorPoolStrategy
     from gumbo_pp_ray.pipelines import extract_pipeline as ep
-    from gumbo_pp_ray.state.sizing import default_pool_size
-
-    def computes(ds):
-        return [(type(op), op._compute) for op in _plan_ops(ds)
-                if hasattr(op, "_compute")]
-
-    ds = ray.data.from_arrow(gen_corpus(CorpusSpec(num_docs=8,
-                                                   mega_every=0)))
-    for n in (1, 3):
-        (kind, compute), = computes(ep.extract_dataset(ds, concurrency=n))
-        assert kind is MapBatches
-        assert isinstance(compute, TaskPoolStrategy) and compute.size == n
-
-    built = []
-    real = ep.extract_dataset
-
-    def spy(*a, **kw):
-        built.append(real(*a, **kw))
-        return built[-1]
-
-    monkeypatch.setattr(ep, "extract_dataset", spy)
-    inp = str(tmp_path / "corpus")
-    write_corpus(inp, CorpusSpec(num_docs=20, mega_every=0), files=2)
-    for conc in (2, None):           # explicit, and the default
-        ep.run_extraction(inp, str(tmp_path / f"out{conc}"),
-                          files_per_wave=1, concurrency=conc,
-                          batch_size=16)
-    assert len(built) == 4
-    for i, wave in enumerate(built):
-        found = computes(wave)
-        assert not any(isinstance(c, ActorPoolStrategy) for _, c in found)
-        sizes = [c.size for k, c in found if k is MapBatches]
-        assert sizes == [2 if i < 2 else default_pool_size()]
-
-
-def test_extraction_task_rows_follow_the_plan_row_count(ray_session,
-                                                      tmp_path):
-    """Rows per extraction task: two tasks per worker from the read's
-    metadata row count, never below the kernel batch; the kernel batch
-    when the count is unknown; one task per block for ``None``; at most
-    ``target_max_block_size`` of input."""
-    import math
-    from ray.data._internal.logical.operators.map_operator import (
-        MapBatches)
-    from gumbo_pp_ray.pipelines.extract_pipeline import extract_dataset
     from gumbo_pp_ray.sources.io import read_interleaved
 
-    def task_rows(ds, **kw):
-        op = extract_dataset(ds, **kw)._logical_plan.dag
-        assert isinstance(op, MapBatches)
-        return op._min_rows_per_bundled_input
+    fused = "ReadParquet->MapBatches(extract_batch)->Write"
 
-    n = 200
+    def executed(ds):
+        """(operator, tasks) of the executed plan: ``Dataset.stats()``
+        shows the operators after fusion, the logical DAG before."""
+        return [(op, int(n)) for op, n in re.findall(
+            r"^Operator \d+ (.+?): (\d+) tasks executed", ds.stats(), re.M)]
+
+    def no_actor_pool(ds):
+        assert not any(isinstance(getattr(op, "_compute", None),
+                                  ActorPoolStrategy)
+                       for op in _plan_ops(ds))
+
     inp = str(tmp_path / "corpus")
-    write_corpus(inp, CorpusSpec(num_docs=n, mega_every=0), files=2)
-    ds = read_interleaved(inp)
-    for conc in (1, 3):
-        for batch in (16, 96):
-            assert task_rows(ds, concurrency=conc, batch_size=batch) == \
-                max(batch, math.ceil(n / (2 * conc)))
-    assert task_rows(ds, concurrency=1, batch_size=None) is None
-    unknown = ds.map_batches(lambda t: t, batch_format="pyarrow")
-    assert task_rows(unknown, concurrency=1, batch_size=16) == 16
+    write_corpus(inp, CorpusSpec(num_docs=30, mega_every=0), files=3)
+    plans = []
+    for conc in (None, 3):
+        if conc is None:
+            ds = ep.extract_dataset(read_interleaved(inp))
+        else:
+            with pytest.warns(DeprecationWarning, match="concurrency"):
+                ds = ep.extract_dataset(read_interleaved(inp),
+                                        concurrency=conc)
+        no_actor_pool(ds)
+        ds.write_parquet(str(tmp_path / f"out{conc}"))
+        plans.append(executed(ds))
+    assert plans[0] == plans[1] == [(fused, 3)]
 
-    tiny = read_interleaved(inp)
-    size = tiny._logical_plan.dag.infer_metadata().size_bytes
-    tiny.context.target_max_block_size = size // 5
-    assert task_rows(tiny, concurrency=1, batch_size=16) == \
-        (size // 5) * n // size < n // 2
+    writes = []
+    real_write = ray.data.Dataset.write_datasink
+
+    def spy(self, sink, **kw):
+        no_actor_pool(self)
+        out = real_write(self, sink, **kw)
+        writes.append((sink, executed(self)))
+        return out
+
+    monkeypatch.setattr(ray.data.Dataset, "write_datasink", spy)
+    with pytest.warns(DeprecationWarning, match="concurrency"):
+        s = ep.run_extraction(inp, str(tmp_path / "waves"),
+                              files_per_wave=2, concurrency=3)
+    assert s["waves_run"] == 2 and s["docs"] == 30
+    assert [type(sink) for sink, _ in writes] == [ep._WaveSink] * 2
+    assert [plan for _, plan in writes] == [[(fused, 2)], [(fused, 1)]]
 
 
 def test_extract_dataset_back_to_back_runs_identical(ray_session,
@@ -420,8 +392,7 @@ def test_extract_dataset_back_to_back_runs_identical(ray_session,
     ds = ray.data.from_arrow(t)
 
     def run():
-        out = extract_dataset(ds, split_threshold=64, concurrency=2,
-                              batch_size=16)
+        out = extract_dataset(ds, split_threshold=64, batch_size=16)
         got = pa.concat_tables(ray.get(out.to_arrow_refs()))
         return got.sort_by("doc_id").combine_chunks()
 
@@ -468,7 +439,7 @@ def test_custom_profile_ships_to_actors(ray_session):
                          "offset": 0}]], t_spans_type())})
     prof = ExtractProfile(normalize_ws=False, prune_links=True)
     out = extract_dataset(ray.data.from_arrow(t), profile=prof,
-                          concurrency=1, batch_size=4).take_all()
+                          batch_size=4).take_all()
     spans = out[0]["spans"]
     texts = [s["text"] for s in spans]
     assert "real   prose stays with its   spacing" in texts  # raw ws kept
@@ -491,7 +462,7 @@ def test_run_extraction_lance_requires_wheel(ray_session, tmp_path):
         pass
     with pytest.raises(ImportError):
         run_extraction(inp, str(tmp_path / "lo"), files_per_wave=1,
-                       concurrency=2, output_format="lance")
+                       output_format="lance")
 
 
 def test_broadcast_membership_semi_anti(ray_session):
@@ -609,7 +580,7 @@ def test_wave_commit_race_first_wins(ray_session, tmp_path, monkeypatch):
         return real_replace(a, b)
 
     monkeypatch.setattr(ep.os, "replace", racing_replace)
-    s = ep.run_extraction(str(src), str(out), concurrency=2)
+    s = ep.run_extraction(str(src), str(out))
     # the loser adopted the winner's manifest: no crash, wave counted
     assert s["waves_skipped"] == 1 and s["errors"] == 0
     assert s["docs"] == 6
@@ -660,7 +631,7 @@ def test_wave_commit_race_loser_keeps_winner_quarantine(ray_session,
         return real_extract(ds, **kw)
 
     monkeypatch.setattr(ep, "extract_dataset", winner_commits_first)
-    s = ep.run_extraction(inp, out, concurrency=2, max_doc_bytes=2000)
+    s = ep.run_extraction(inp, out, max_doc_bytes=2000)
     assert s["waves_skipped"] == 1 and s["waves_run"] == 0
     assert s["docs"] == 2 and s["errors"] == 1
     assert os.listdir(qdir) == ["winner.parquet"]
@@ -692,8 +663,7 @@ def test_run_extraction_commits_each_wave_in_one_pass(ray_session,
         raise AssertionError("a second pass over the written wave")
     for method in ("filter", "aggregate", "count"):
         monkeypatch.setattr(ray.data.Dataset, method, second_pass)
-    s = run_extraction(inp, out, files_per_wave=1, concurrency=2,
-                       max_doc_bytes=2000)
+    s = run_extraction(inp, out, files_per_wave=1, max_doc_bytes=2000)
     assert s["waves_run"] == 2 and s["docs"] == 14 and s["errors"] == 3
 
     def read(d):
@@ -727,8 +697,7 @@ def test_run_extraction_resume_rejects_changed_input(ray_session,
     inp = str(tmp_path / "corpus")
     out1 = str(tmp_path / "out")
     write_corpus(inp, CorpusSpec(num_docs=20, mega_every=0), files=2)
-    run_extraction(inp, out1, files_per_wave=2, concurrency=2,
-                   batch_size=16)
+    run_extraction(inp, out1, files_per_wave=2, batch_size=16)
     # grow the input set: wave 0's composition changes
     write_corpus(str(tmp_path / "extra"),
                  CorpusSpec(num_docs=10, mega_every=0), files=1)
@@ -738,8 +707,7 @@ def test_run_extraction_resume_rejects_changed_input(ray_session,
     shutil.copy(os.path.join(str(tmp_path / "extra"), extra),
                 os.path.join(inp, "aa-extra.parquet"))
     with pytest.raises(ValueError, match="resume mismatch"):
-        run_extraction(inp, out1, files_per_wave=2, concurrency=2,
-                       batch_size=16)
+        run_extraction(inp, out1, files_per_wave=2, batch_size=16)
 
 
 def test_run_extraction_rejects_changed_config(ray_session, tmp_path):
@@ -753,8 +721,7 @@ def test_run_extraction_rejects_changed_config(ray_session, tmp_path):
     inp = str(tmp_path / "corpus")
     out = str(tmp_path / "out")
     write_corpus(inp, CorpusSpec(num_docs=20, mega_every=0), files=2)
-    s1 = run_extraction(inp, out, files_per_wave=1, concurrency=2,
-                        batch_size=16)
+    s1 = run_extraction(inp, out, files_per_wave=1, batch_size=16)
     assert s1["waves_run"] == 2
 
     def snapshot():
@@ -764,11 +731,10 @@ def test_run_extraction_rejects_changed_config(ray_session, tmp_path):
 
     before = snapshot()
     with pytest.raises(ValueError, match="run config mismatch"):
-        run_extraction(inp, out, files_per_wave=1, concurrency=2,
+        run_extraction(inp, out, files_per_wave=1,
                        batch_size=16, max_doc_bytes=1 << 20)
     assert snapshot() == before
-    s2 = run_extraction(inp, out, files_per_wave=1, concurrency=2,
-                        batch_size=16)
+    s2 = run_extraction(inp, out, files_per_wave=1, batch_size=16)
     assert s2["waves_skipped"] == 2 and s2["waves_run"] == 0
     assert s2["docs"] == 20
 
@@ -791,15 +757,13 @@ def test_run_extraction_zero_row_wave_commits(ray_session, tmp_path):
     })
     pq.write_table(empty, os.path.join(inp, "shard-0.parquet"))
     out = str(tmp_path / "out")
-    s = run_extraction(inp, out, files_per_wave=1, concurrency=2,
-                       batch_size=16)
+    s = run_extraction(inp, out, files_per_wave=1, batch_size=16)
     assert s["waves_run"] == 1 and s["docs"] == 0 and s["errors"] == 0
     assert os.path.isdir(os.path.join(out, "wave-00000"))
     with open(os.path.join(out, "_lineage", "wave-00000.json")) as f:
         assert json.load(f)["docs"] == 0
     # resume skips the committed empty wave
-    s2 = run_extraction(inp, out, files_per_wave=1, concurrency=2,
-                        batch_size=16)
+    s2 = run_extraction(inp, out, files_per_wave=1, batch_size=16)
     assert s2["waves_skipped"] == 1 and s2["waves_run"] == 0
 
 

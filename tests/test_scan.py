@@ -46,6 +46,14 @@ def dump(doc) -> list:
     return rows
 
 
+#: tests that call the native builder directly; the two pins of the
+#: native path (test_scanner_is_built and
+#: test_well_formed_body_never_reaches_the_python_builder) are not
+#: marked: they must fail without the extension
+native_only = pytest.mark.skipif(parser._scan is None,
+                                 reason="the native builder is not loaded")
+
+
 def assert_same(html: str, opts=None):
     native = dump(parse(html, opts))
     with mock.patch.object(parser, "_scan", None):
@@ -88,6 +96,7 @@ def shape(node) -> list:
              shape(c)) for c in node.children]
 
 
+@native_only
 def test_scanner_tokens():
     build, d = parser._scan.build, parser._SCAN_DEFER
     html = "a<P x='>'/>b</p \t>"
@@ -124,6 +133,7 @@ def test_scanner_tokens():
     assert tb.mode == parser._BEFORE_HEAD
 
 
+@native_only
 @pytest.mark.parametrize("before, token, want", [
     ("<table>", "x", (0, "x", 7, 8)),                  # foster parenting
     ("<table><tr>", "x", (0, "x", 11, 12)),
@@ -147,6 +157,7 @@ def test_build_hands_back_tokens_with_rules(before, token, want):
     assert shape(tb.doc) == shape(in_body(before).doc)
 
 
+@native_only
 @pytest.mark.parametrize("before, token", [
     ("<div>", "</span>"),               # unmatched: an error, nothing closes
     ("<div><p>", "</div>"),             # misnested: p closes at </div>
@@ -172,6 +183,7 @@ def test_build_closes_end_tags_below_the_top(before, token):
     assert len(native.afe) == len(python.afe)
 
 
+@native_only
 def test_build_hands_back_text_while_formatting_is_dirty():
     tb = in_body("<p><b>x")
     tb.end_tag("p", 7, 11)          # leaves <b> to reconstruct
@@ -231,6 +243,7 @@ def test_well_formed_body_never_reaches_the_python_builder():
     assert_same(html)
 
 
+@native_only
 def test_native_release_empties_every_child_list():
     assert parser.release is parser._scan.release
     doc = parse("<!DOCTYPE html><html><head><title>t</title></head><body>"

@@ -159,13 +159,11 @@ def test_run_extraction_over_warc_archives(ray_session, tmp_path):
             build_warc(recs, gzip_members=True))
 
     out = tmp_path / "out"
-    s1 = run_extraction(str(src), str(out), files_per_wave=2,
-                        concurrency=2)
+    s1 = run_extraction(str(src), str(out), files_per_wave=2)
     assert s1["docs"] == 12 and s1["errors"] == 0
     assert s1["waves_run"] == 2 and s1["waves_skipped"] == 0
 
-    s2 = run_extraction(str(src), str(out), files_per_wave=2,
-                        concurrency=2)
+    s2 = run_extraction(str(src), str(out), files_per_wave=2)
     assert s2["waves_skipped"] == 2 and s2["waves_run"] == 0
     assert s2["docs"] == 12
 
@@ -262,7 +260,7 @@ def test_warc_error_rows_reach_quarantine(ray_session, tmp_path):
     (src / "s.warc").write_bytes(good + bad)
 
     out = tmp_path / "out"
-    s = run_extraction(str(src), str(out), concurrency=2)
+    s = run_extraction(str(src), str(out))
     assert s["docs"] == 4 and s["errors"] == 1
 
     import pyarrow.parquet as pq
